@@ -11,7 +11,7 @@ GO ?= go
 GOFMT ?= gofmt
 SCENARIO := examples/platforms/mobile-7nm.json
 
-.PHONY: all fmt-check build vet test race fuzz-smoke bench-trace-smoke bench-gbt-smoke bench-engine-smoke smoke soak-smoke serve-smoke loadtest-smoke ci bench bench-parallel bench-trace bench-gbt bench-engine bench-serve bench-loadtest clean
+.PHONY: all fmt-check build vet test race fuzz-smoke bench-trace-smoke bench-warmstart-smoke bench-gbt-smoke bench-engine-smoke smoke soak-smoke serve-smoke loadtest-smoke ci bench bench-parallel bench-trace bench-gbt bench-engine bench-serve bench-loadtest clean
 
 all: build
 
@@ -46,6 +46,11 @@ fuzz-smoke:
 # regressions on the streaming path without paying full bench time.
 bench-trace-smoke:
 	$(GO) test -run='^$$' -bench=BenchmarkRunStaticTrace -benchtime=1x -benchmem .
+
+# One-iteration smoke of the warm-start benchmark: a cold steady-state
+# solve and a restore from the pipeline family's memo.
+bench-warmstart-smoke:
+	$(GO) test -run='^$$' -bench='^BenchmarkWarmStart$$' -benchtime=1x -benchmem ./internal/sim
 
 # One-iteration smoke of the trainer benchmark: exercises both the exact
 # and histogram-binned split searches end to end.
@@ -119,7 +124,7 @@ loadtest-smoke:
 	rm -f smoke_loadtest smoke_replay_a.json smoke_replay_b.json; \
 	echo "loadtest smoke: 200 decisions, 0 divergences, byte-identical replay across concurrency, as intended"
 
-ci: fmt-check build vet test race fuzz-smoke bench-trace-smoke bench-gbt-smoke bench-engine-smoke smoke soak-smoke serve-smoke loadtest-smoke
+ci: fmt-check build vet test race fuzz-smoke bench-trace-smoke bench-warmstart-smoke bench-gbt-smoke bench-engine-smoke smoke soak-smoke serve-smoke loadtest-smoke
 
 bench:
 	$(GO) test -bench=. -benchmem .

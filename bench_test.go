@@ -653,6 +653,10 @@ const (
 // sensor slices per step) against the streaming trace.RunStatic feeding a
 // PeakReducer (O(1) memory). Both reduce to peak severity, so the work
 // per step is identical and the delta is purely the trace representation.
+// Each case reuses one pipeline, so every iteration after the first
+// restores its warm start from the pipeline's memo instead of solving it:
+// the numbers time the measured steps plus a memo hit, not a cold warm
+// start (BenchmarkWarmStart in internal/sim times both).
 func BenchmarkRunStaticTrace(b *testing.B) {
 	b.Run("materialized", func(b *testing.B) {
 		p, err := sim.New(traceBenchSim())

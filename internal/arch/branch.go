@@ -53,10 +53,19 @@ func NewGshare(cfg GshareConfig) (*Gshare, error) {
 		btbTags: make([]uint64, cfg.BTBEntries),
 		btbMsk:  uint64(cfg.BTBEntries - 1),
 	}
+	g.reset()
+	return g, nil
+}
+
+// reset returns the predictor to its constructed state in place: every
+// counter weakly not-taken, an empty BTB and history, zero statistics.
+func (g *Gshare) reset() {
 	for i := range g.table {
 		g.table[i] = 1 // weakly not-taken
 	}
-	return g, nil
+	clear(g.btbTags)
+	g.history = 0
+	g.ResetStats()
 }
 
 // Predict runs one branch through the predictor: it predicts, learns the

@@ -366,11 +366,7 @@ func (c *Core) Reset(seed uint64) {
 	c.l2.Flush()
 	c.itlb.Flush()
 	c.dtlb.Flush()
-	bp, err := NewGshare(c.cfg.Gshare)
-	if err != nil {
-		panic("arch: reset with validated config failed: " + err.Error())
-	}
-	c.bp = bp
+	c.bp.reset()
 	c.rnd = rng.New(seed)
 	c.dataCursor, c.instrCursor, c.branchTick = 0, 0, 0
 }

@@ -75,6 +75,48 @@ func TestCoreResetRestoresDeterminism(t *testing.T) {
 	}
 }
 
+// TestCoreResetMatchesFreshCore trains every structure (caches, TLBs,
+// predictor table, BTB, history, stats) under a different seed, resets,
+// and requires the next steps to equal a freshly built core's bit for
+// bit: Reset refills the predictor in place rather than rebuilding it.
+func TestCoreResetMatchesFreshCore(t *testing.T) {
+	cfg := DefaultCoreConfig()
+	used, err := NewCore(cfg, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phases := []PhaseParams{computePhase(), memoryPhase()}
+	for i := 0; i < 12; i++ {
+		if _, err := used.Step(phases[i%2], 4, 1, 80e-6); err != nil {
+			t.Fatal(err)
+		}
+	}
+	used.Reset(9)
+	fresh, err := NewCore(cfg, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 12; i++ {
+		p := phases[(i/3)%2]
+		got, err := used.Step(p, 4.25, 1.1, 80e-6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Step(p, 4.25, 1.1, 80e-6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("step %d after Reset differs from a fresh core:\n got %+v\nwant %+v", i, got, want)
+		}
+	}
+	gl, gm := used.bp.Stats()
+	wl, wm := fresh.bp.Stats()
+	if gl != wl || gm != wm {
+		t.Fatalf("predictor stats after Reset (%d, %d), fresh core (%d, %d)", gl, gm, wl, wm)
+	}
+}
+
 func TestGshareMispredictRateNoLookups(t *testing.T) {
 	g, _ := NewGshare(GshareConfig{HistoryBits: 8, TableBits: 10, BTBEntries: 64})
 	if g.MispredictRate() != 0 {

@@ -13,6 +13,8 @@ package sim
 
 import (
 	"fmt"
+	"math"
+	"sync"
 
 	"github.com/hotgauge/boreas/internal/arch"
 	"github.com/hotgauge/boreas/internal/floorplan"
@@ -190,10 +192,51 @@ type SensorTap interface {
 	Apply(step int, delayed []float64)
 }
 
+// warmKey identifies a warm start within a pipeline family: pipelines
+// that share a warmMemo share their Config and seed, so the workload and
+// the exact frequency bits are all that vary.
+type warmKey struct {
+	w    *workload.Workload
+	freq uint64
+}
+
+// warmState is the thermal state a warm start's steady-state solve
+// installs. It is immutable once stored.
+type warmState struct {
+	die, spr []float64
+	sink     float64
+}
+
+// warmMemo caches warm-start thermal states for one pipeline family. Two
+// pipelines that miss on the same key concurrently compute the same
+// state, so the first store wins and no further coordination is needed.
+type warmMemo struct {
+	mu sync.Mutex
+	m  map[warmKey]*warmState
+}
+
+func (wm *warmMemo) load(k warmKey) (*warmState, bool) {
+	wm.mu.Lock()
+	defer wm.mu.Unlock()
+	st, ok := wm.m[k]
+	return st, ok
+}
+
+func (wm *warmMemo) store(k warmKey, st *warmState) {
+	wm.mu.Lock()
+	defer wm.mu.Unlock()
+	if _, ok := wm.m[k]; !ok {
+		wm.m[k] = st
+	}
+}
+
 // Pipeline is one instantiated simulation. Not safe for concurrent use;
 // run independent simulations on separate Pipelines.
 type Pipeline struct {
 	cfg Config
+
+	// warm is shared by every Clone of this pipeline (see WarmStart).
+	warm *warmMemo
 
 	fp       *floorplan.Floorplan
 	vf       power.VFCurve
@@ -267,6 +310,7 @@ func New(cfg Config) (*Pipeline, error) {
 
 	p := &Pipeline{
 		cfg:        cfg,
+		warm:       &warmMemo{m: make(map[warmKey]*warmState)},
 		fp:         fp,
 		vf:         cfg.ResolvedVF(),
 		wset:       cfg.WorkloadSet(),
@@ -292,11 +336,22 @@ func (p *Pipeline) Config() Config { return p.cfg }
 // are stateful and not safe for concurrent use; the campaign runner hands
 // each worker task its own clone. Because every run starts with a full
 // Reset/WarmStart, a clone produces bit-identical traces to the pipeline
-// it was cloned from.
-func (p *Pipeline) Clone() (*Pipeline, error) { return New(p.cfg) }
+// it was cloned from. The clone shares p's warm-start memo (safe for
+// concurrent use), so a warm start solved on any pipeline of the family
+// is restored, not re-solved, on the others.
+func (p *Pipeline) Clone() (*Pipeline, error) {
+	c, err := New(p.cfg)
+	if err != nil {
+		return nil, err
+	}
+	c.warm = p.warm
+	return c, nil
+}
 
 // CloneWithSeed builds a fresh pipeline with the same configuration but a
-// different seed, for per-task seed derivation in parallel campaigns.
+// different seed, for per-task seed derivation in parallel campaigns. A
+// different seed probes a different power map, so the clone starts its
+// own, empty warm-start memo.
 func (p *Pipeline) CloneWithSeed(seed uint64) (*Pipeline, error) {
 	cfg := p.cfg
 	cfg.Seed = seed
@@ -319,9 +374,10 @@ func (p *Pipeline) Thermal() *thermal.Model { return p.therm }
 func (p *Pipeline) Sensors() *hotspot.SensorArray { return p.sensors }
 
 // SetSensorTap installs (or, with nil, removes) the sensor fault tap. The
-// tap is Reset and starts counting steps from the moment it is installed,
-// so installing after WarmStart keeps warm-up probe steps out of the
-// fault window.
+// tap is Reset and starts counting steps from the moment it is installed.
+// WarmStart never feeds its probe steps to the tap and Resets it on
+// return, so a tap installed before or after WarmStart sees its step 0 on
+// the first measured step.
 func (p *Pipeline) SetSensorTap(tap SensorTap) {
 	p.tap = tap
 	p.stepIndex = 0
@@ -476,11 +532,58 @@ func (p *Pipeline) StepInto(run *workload.Run, fGHz float64, res *StepResult) er
 // power map, the thermal network is set to the steady state of
 // WarmStartFraction of that power, and the sensors/core/clock are reset
 // so the measured run starts from a realistically warm chip.
+//
+// The steady state depends only on the configuration, the seed, the
+// workload and fGHz, so it is memoised per (workload, fGHz) in the memo
+// this pipeline shares with its Clones: a repeat warm start restores the
+// stored die, spreader and sink temperatures instead of probing and
+// solving again, and leaves the pipeline bit-identical to a cold one.
+// The workload is keyed by pointer and must not be mutated afterwards.
+// Probe steps never reach an installed SensorTap, which is Reset on
+// return.
 func (p *Pipeline) WarmStart(w *workload.Workload, fGHz float64) error {
 	p.Reset()
 	if p.cfg.WarmStartFraction == 0 {
 		return nil
 	}
+	key := warmKey{w: w, freq: math.Float64bits(fGHz)}
+	if st, ok := p.warm.load(key); ok {
+		if err := p.therm.Restore(st.die, st.spr, st.sink); err != nil {
+			return fmt.Errorf("sim: warm-start restore: %w", err)
+		}
+	} else {
+		if err := p.solveWarmStart(w, fGHz); err != nil {
+			return err
+		}
+		p.warm.store(key, &warmState{
+			die:  append([]float64(nil), p.therm.Die()...),
+			spr:  append([]float64(nil), p.therm.Spreader()...),
+			sink: p.therm.Sink(),
+		})
+	}
+	// Pre-fill sensor history with the warm readings. This overwrites
+	// every slot of the ring, so the probe's readings leave no trace.
+	die := p.therm.Die()
+	for i := 0; i < p.sensors.DelaySteps()+1; i++ {
+		if err := p.sensors.Record(die); err != nil {
+			return err
+		}
+	}
+	p.time = 0
+	p.stepIndex = 0
+	if p.tap != nil {
+		p.tap.Reset()
+	}
+	return nil
+}
+
+// solveWarmStart probes the workload at fGHz with the tap detached,
+// resets the core, and solves the thermal steady state of
+// WarmStartFraction of the probe's mean power map.
+func (p *Pipeline) solveWarmStart(w *workload.Workload, fGHz float64) error {
+	tap := p.tap
+	p.tap = nil
+	defer func() { p.tap = tap }()
 	run := w.NewRun(p.cfg.Seed ^ 0xdead)
 	avg := make([]float64, len(p.cellPower))
 	var probe StepResult // reused scratch: probe telemetry is discarded
@@ -500,15 +603,6 @@ func (p *Pipeline) WarmStart(w *workload.Workload, fGHz float64) error {
 	if err := p.therm.SteadyState(avg, 1e-4, 0); err != nil {
 		return fmt.Errorf("sim: warm-start steady state: %w", err)
 	}
-	// Pre-fill sensor history with the warm readings.
-	die := p.therm.Die()
-	for i := 0; i < p.sensors.DelaySteps()+1; i++ {
-		if err := p.sensors.Record(die); err != nil {
-			return err
-		}
-	}
-	p.time = 0
-	p.stepIndex = 0
 	return nil
 }
 

@@ -207,6 +207,19 @@ func (m *Model) Reset(t float64) {
 	m.sink = t
 }
 
+// Restore installs a state captured earlier from a model of the same
+// configuration: die and spreader temperatures (NumCells each, copied)
+// and the sink temperature.
+func (m *Model) Restore(die, spr []float64, sink float64) error {
+	if len(die) != m.n || len(spr) != m.n {
+		return fmt.Errorf("thermal: restoring %d die / %d spreader cells, want %d", len(die), len(spr), m.n)
+	}
+	copy(m.die, die)
+	copy(m.spr, spr)
+	m.sink = sink
+	return nil
+}
+
 // Die returns the die-layer temperature grid in row-major order
 // (index = y*NX + x). The returned slice aliases model state; callers must
 // not modify it and must copy if they need a stable snapshot.
