@@ -37,10 +37,13 @@ race:
 
 # 10-second fuzz smokes over the two parsers that eat externally
 # supplied bytes: the model deserializer and the daemon's decide
-# endpoint (which must answer 200 or 400, never panic or 500).
+# endpoint (which must answer 200 or 400, never panic or 500); and a
+# differential fuzz of the recency-ordered cache against the
+# timestamp-LRU reference it replaced.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzLoadModel -fuzztime=10s ./internal/ml/gbt
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeDecideRequest -fuzztime=10s ./internal/serve
+	$(GO) test -run='^$$' -fuzz=FuzzCacheMatchesStampLRU -fuzztime=10s ./internal/arch
 
 # One-iteration smoke of the trace-layer benchmark: catches alloc
 # regressions on the streaming path without paying full bench time.

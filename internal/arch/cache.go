@@ -35,16 +35,17 @@ func (c CacheConfig) Validate() error {
 	return nil
 }
 
-// Cache is a set-associative cache with true-LRU replacement. It models
-// hit/miss behaviour only (no data), which is all the interval model
-// needs. The zero value is not usable; construct with NewCache.
+// Cache is a set-associative cache with true-LRU replacement. Each set
+// keeps its tags in recency order, most recent first, so a hit moves its
+// line to the front and a miss drops the last (least recent or invalid)
+// line; hit and miss therefore depend only on the access sequence. It
+// models hit/miss behaviour only (no data), which is all the interval
+// model needs. The zero value is not usable; construct with NewCache.
 type Cache struct {
 	cfg       CacheConfig
 	setShift  uint
 	setMask   uint64
-	tags      []uint64 // sets*ways, valid bit folded into tag via +1 offset
-	stamps    []uint64 // LRU timestamps
-	clock     uint64
+	tags      []uint64 // sets*ways, each set most recent first; tag = line+1, 0 = invalid
 	hits      uint64
 	misses    uint64
 	writeHits uint64
@@ -65,7 +66,6 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 		setShift: shift,
 		setMask:  uint64(cfg.Sets - 1),
 		tags:     make([]uint64, cfg.Sets*cfg.Ways),
-		stamps:   make([]uint64, cfg.Sets*cfg.Ways),
 	}
 	return c, nil
 }
@@ -73,34 +73,42 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 // Config returns the cache geometry.
 func (c *Cache) Config() CacheConfig { return c.cfg }
 
+// touch makes the line containing addr the most recent in its set,
+// allocating over the last slot on a miss, and reports whether it hit.
+func (c *Cache) touch(addr uint64) bool {
+	line := addr >> c.setShift
+	tag := line + 1
+	base := int(line&c.setMask) * c.cfg.Ways
+	set := c.tags[base : base+c.cfg.Ways]
+	if set[0] == tag {
+		return true
+	}
+	// Shift each slot down while searching; the slot the tag came from
+	// (or the last slot, on a miss) is the one overwritten.
+	prev := set[0]
+	for j := 1; j < len(set); j++ {
+		cur := set[j]
+		set[j] = prev
+		if cur == tag {
+			set[0] = tag
+			return true
+		}
+		prev = cur
+	}
+	set[0] = tag
+	return false
+}
+
 // Access looks up addr, allocating on miss, and reports whether it hit.
 // write only affects the write-specific statistics.
 func (c *Cache) Access(addr uint64, write bool) bool {
-	line := addr >> c.setShift
-	set := int(line & c.setMask)
-	tag := line + 1 // +1 so tag 0 means invalid
-	base := set * c.cfg.Ways
-	c.clock++
-
-	victim := base
-	oldest := c.stamps[base]
-	for w := 0; w < c.cfg.Ways; w++ {
-		i := base + w
-		if c.tags[i] == tag {
-			c.stamps[i] = c.clock
-			c.hits++
-			if write {
-				c.writeHits++
-			}
-			return true
+	if c.touch(addr) {
+		c.hits++
+		if write {
+			c.writeHits++
 		}
-		if c.stamps[i] < oldest {
-			oldest = c.stamps[i]
-			victim = i
-		}
+		return true
 	}
-	c.tags[victim] = tag
-	c.stamps[victim] = c.clock
 	c.misses++
 	if write {
 		c.writeMiss++
@@ -110,28 +118,7 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 
 // Install inserts the line containing addr without touching statistics;
 // used by the prefetcher so prefetch fills do not count as demand misses.
-func (c *Cache) Install(addr uint64) {
-	line := addr >> c.setShift
-	set := int(line & c.setMask)
-	tag := line + 1
-	base := set * c.cfg.Ways
-	c.clock++
-	victim := base
-	oldest := c.stamps[base]
-	for w := 0; w < c.cfg.Ways; w++ {
-		i := base + w
-		if c.tags[i] == tag {
-			c.stamps[i] = c.clock
-			return
-		}
-		if c.stamps[i] < oldest {
-			oldest = c.stamps[i]
-			victim = i
-		}
-	}
-	c.tags[victim] = tag
-	c.stamps[victim] = c.clock
-}
+func (c *Cache) Install(addr uint64) { c.touch(addr) }
 
 // Stats returns cumulative (accesses, misses).
 func (c *Cache) Stats() (accesses, misses uint64) {
@@ -159,10 +146,6 @@ func (c *Cache) ResetStats() {
 
 // Flush invalidates all lines and clears statistics.
 func (c *Cache) Flush() {
-	for i := range c.tags {
-		c.tags[i] = 0
-		c.stamps[i] = 0
-	}
-	c.clock = 0
+	clear(c.tags)
 	c.ResetStats()
 }

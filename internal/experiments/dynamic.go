@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"sort"
 	"strings"
 
 	"github.com/hotgauge/boreas/internal/control"
@@ -370,13 +371,26 @@ func Fig8DynamicTraces(l *Lab) (*Fig8Result, error) {
 func (r *Fig8Result) Render() string {
 	var b strings.Builder
 	b.WriteString("Fig 8: dynamic runs of unseen workloads, TH-00 vs ML05\n")
-	for name, runs := range r.Runs {
-		for ctrl, run := range runs {
+	for _, name := range sortedKeys(r.Runs) {
+		runs := r.Runs[name]
+		for _, ctrl := range sortedKeys(runs) {
+			run := runs[ctrl]
 			fmt.Fprintf(&b, "  %-12s %-6s avg %.3f GHz, peak sev %.3f, incursions %d\n",
 				name, ctrl, run.AvgFreq, run.PeakSeverity, run.Incursions)
 		}
 	}
 	return b.String()
+}
+
+// sortedKeys returns m's keys in increasing order, so renders do not
+// depend on Go's map iteration order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // TraceCSV renders a loop trace as CSV (time_ms, freq_ghz, severity,

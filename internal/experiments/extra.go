@@ -80,10 +80,11 @@ func CochranComparison(l *Lab) (*CochranResult, error) {
 func (r *CochranResult) Render() string {
 	var b strings.Builder
 	b.WriteString("SIV-C: Cochran-Reda temperature predictor vs Boreas (ML05)\n")
-	for name, row := range r.Rows {
-		for ctrl, f := range row {
+	for _, name := range sortedKeys(r.Rows) {
+		row := r.Rows[name]
+		for _, ctrl := range sortedKeys(row) {
 			fmt.Fprintf(&b, "  %-12s %-6s avg %.3f GHz, incursions %d\n",
-				name, ctrl, f, r.Incursions[name][ctrl])
+				name, ctrl, row[ctrl], r.Incursions[name][ctrl])
 		}
 	}
 	fmt.Fprintf(&b, "  mean: CR %.3f GHz vs ML05 %.3f GHz\n", r.MeanCR, r.MeanML05)

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"github.com/hotgauge/boreas/internal/engine"
@@ -70,12 +69,7 @@ func (r *FleetStudyResult) Render() string {
 		a.sumFreq += c.AvgFreq
 		a.incursions += c.Incursions
 	}
-	names := make([]string, 0, len(byWorkload))
-	for name := range byWorkload {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedKeys(byWorkload) {
 		a := byWorkload[name]
 		fmt.Fprintf(&b, "  %-12s %3d chips: avg %.3f GHz, incursions %d\n",
 			name, a.n, a.sumFreq/float64(a.n), a.incursions)
