@@ -260,7 +260,7 @@ func BenchmarkAblation_TimestepWidth(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := p.RunStatic("gromacs", 4.25, 48); err != nil {
+				if err := trace.RunStatic(p, "gromacs", 4.25, 48); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -291,19 +291,17 @@ func BenchmarkAblation_SeverityParams(b *testing.B) {
 			cfg := sim.DefaultConfig()
 			cfg.Thermal.NX, cfg.Thermal.NY = 24, 18
 			cfg.Severity = params
-			var peak float64
+			var pr trace.PeakReducer
 			for i := 0; i < b.N; i++ {
 				p, err := sim.New(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
-				tr, err := p.RunStatic("gromacs", 4.5, 48)
-				if err != nil {
+				if err := trace.RunStatic(p, "gromacs", 4.5, 48, &pr); err != nil {
 					b.Fatal(err)
 				}
-				peak = sim.PeakSeverity(tr)
 			}
-			b.ReportMetric(peak, "peak-severity")
+			b.ReportMetric(pr.PeakSeverity, "peak-severity")
 		})
 	}
 }
@@ -317,19 +315,17 @@ func BenchmarkAblation_GridResolution(b *testing.B) {
 		b.Run(res.name, func(b *testing.B) {
 			cfg := sim.DefaultConfig()
 			cfg.Thermal.NX, cfg.Thermal.NY = res.nx, res.ny
-			var peak float64
+			var pr trace.PeakReducer
 			for i := 0; i < b.N; i++ {
 				p, err := sim.New(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
-				tr, err := p.RunStatic("calculix", 4.25, 48)
-				if err != nil {
+				if err := trace.RunStatic(p, "calculix", 4.25, 48, &pr); err != nil {
 					b.Fatal(err)
 				}
-				peak = sim.PeakSeverity(tr)
 			}
-			b.ReportMetric(peak, "peak-severity")
+			b.ReportMetric(pr.PeakSeverity, "peak-severity")
 		})
 	}
 }
@@ -421,9 +417,10 @@ func BenchmarkMicro_PipelineStep(b *testing.B) {
 		b.Fatal(err)
 	}
 	run := w.NewRun(1)
+	var res sim.StepResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Step(run, 4.0); err != nil {
+		if err := p.StepInto(run, 4.0, &res); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -630,7 +627,7 @@ func TestWriteBenchParallelArtefact(t *testing.T) {
 }
 
 // benchTraceSink keeps the reduced peak live so the compiler cannot
-// eliminate either benchmark body.
+// eliminate the benchmark body.
 var benchTraceSink float64
 
 // traceBenchSim is the pipeline scale used by the trace-layer benches:
@@ -648,31 +645,13 @@ const (
 	traceBenchSteps    = 96
 )
 
-// BenchmarkRunStaticTrace compares the two ways to consume a static run:
-// the seed's materializing Pipeline.RunStatic (one []StepResult plus two
-// sensor slices per step) against the streaming trace.RunStatic feeding a
-// PeakReducer (O(1) memory). Both reduce to peak severity, so the work
-// per step is identical and the delta is purely the trace representation.
-// Each case reuses one pipeline, so every iteration after the first
-// restores its warm start from the pipeline's memo instead of solving it:
-// the numbers time the measured steps plus a memo hit, not a cold warm
-// start (BenchmarkWarmStart in internal/sim times both).
+// BenchmarkRunStaticTrace times a streamed static run: trace.RunStatic
+// feeding a PeakReducer (O(1) memory). The pipeline is reused, so every
+// iteration after the first restores its warm start from the pipeline's
+// memo instead of solving it: the numbers time the measured steps plus a
+// memo hit, not a cold warm start (BenchmarkWarmStart in internal/sim
+// times both).
 func BenchmarkRunStaticTrace(b *testing.B) {
-	b.Run("materialized", func(b *testing.B) {
-		p, err := sim.New(traceBenchSim())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tr, err := p.RunStatic(traceBenchWorkload, traceBenchFreq, traceBenchSteps)
-			if err != nil {
-				b.Fatal(err)
-			}
-			benchTraceSink = sim.PeakSeverity(tr)
-		}
-	})
 	b.Run("streaming", func(b *testing.B) {
 		p, err := sim.New(traceBenchSim())
 		if err != nil {
@@ -688,73 +667,6 @@ func BenchmarkRunStaticTrace(b *testing.B) {
 			benchTraceSink = pr.PeakSeverity
 		}
 	})
-}
-
-// TestWriteBenchTraceArtefact measures both RunStatic paths and records
-// the result in BENCH_trace.json. Gated behind an env var so the regular
-// test run stays fast:
-//
-//	BENCH_TRACE=1 go test -run TestWriteBenchTraceArtefact .
-func TestWriteBenchTraceArtefact(t *testing.T) {
-	if os.Getenv("BENCH_TRACE") == "" {
-		t.Skip("set BENCH_TRACE=1 to refresh BENCH_trace.json")
-	}
-	materialized := testing.Benchmark(func(b *testing.B) {
-		p, err := sim.New(traceBenchSim())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tr, err := p.RunStatic(traceBenchWorkload, traceBenchFreq, traceBenchSteps)
-			if err != nil {
-				b.Fatal(err)
-			}
-			benchTraceSink = sim.PeakSeverity(tr)
-		}
-	})
-	streaming := testing.Benchmark(func(b *testing.B) {
-		p, err := sim.New(traceBenchSim())
-		if err != nil {
-			b.Fatal(err)
-		}
-		var pr trace.PeakReducer
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := trace.RunStatic(p, traceBenchWorkload, traceBenchFreq, traceBenchSteps, &pr); err != nil {
-				b.Fatal(err)
-			}
-			benchTraceSink = pr.PeakSeverity
-		}
-	})
-	streamAllocs := streaming.AllocsPerOp()
-	if streamAllocs < 1 {
-		streamAllocs = 1 // avoid a zero divisor in the ratio below
-	}
-	artefact := map[string]any{
-		"workload":                   traceBenchWorkload,
-		"frequency_ghz":              traceBenchFreq,
-		"steps_per_run":              traceBenchSteps,
-		"materialized_ns_per_op":     materialized.NsPerOp(),
-		"materialized_allocs_per_op": materialized.AllocsPerOp(),
-		"materialized_bytes_per_op":  materialized.AllocedBytesPerOp(),
-		"streaming_ns_per_op":        streaming.NsPerOp(),
-		"streaming_allocs_per_op":    streaming.AllocsPerOp(),
-		"streaming_bytes_per_op":     streaming.AllocedBytesPerOp(),
-		"alloc_ratio":                float64(materialized.AllocsPerOp()) / float64(streamAllocs),
-		"identity_verified_by":       "TestEquivalence_* and internal/trace golden tests",
-	}
-	data, err := json.MarshalIndent(artefact, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_trace.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("materialized: %d allocs/op, %d B/op; streaming: %d allocs/op, %d B/op (%.1fx fewer allocs)",
-		materialized.AllocsPerOp(), materialized.AllocedBytesPerOp(),
-		streaming.AllocsPerOp(), streaming.AllocedBytesPerOp(),
-		float64(materialized.AllocsPerOp())/float64(streamAllocs))
 }
 
 // ---- GBT trainer benches (exact vs histogram-binned split search) ----

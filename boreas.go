@@ -135,9 +135,10 @@ func DefaultSeverityParams() SeverityParams { return hotspot.DefaultSeverityPara
 // DefaultSensorIndex is the paper's preferred sensor (tsens03, EX stage).
 const DefaultSensorIndex = sim.DefaultSensorIndex
 
-// Streaming telemetry (the trace/observer layer). Consumers that only
-// need a reduction of a run — a peak, a dataset row, a CSV line —
-// observe the step stream instead of materializing []StepResult.
+// Streaming telemetry (the trace/observer layer). Every static run is
+// observed as a step stream: a reduction (a peak, a dataset row, a CSV
+// line) folds it in place, and a TraceRecorder keeps the whole run as a
+// columnar Trace when one is wanted.
 type (
 	// TraceMeta describes the run a drive loop is about to execute.
 	TraceMeta = trace.Meta
@@ -158,8 +159,7 @@ type (
 func TeeObservers(obs ...TraceObserver) TraceObserver { return trace.Tee(obs...) }
 
 // RunStaticObserved warm-starts the pipeline and streams a fixed-
-// frequency run of the named workload to the observers; it is the
-// streaming equivalent of Pipeline.RunStatic and bit-identical to it.
+// frequency run of the named workload to the observers.
 func RunStaticObserved(p *Pipeline, name string, fGHz float64, steps int, obs ...TraceObserver) error {
 	return trace.RunStatic(p, name, fGHz, steps, obs...)
 }

@@ -2,8 +2,8 @@
 // streamed paths (trace.Drive / PeakReducer / DatasetAppender) must
 // reproduce the seed's materialized []sim.StepResult paths bit for bit,
 // at -j1 and -j8. The materialized references are computed here exactly
-// as the pre-streaming code did: Pipeline.RunStatic into a full trace,
-// then post-hoc reductions/labelling over it.
+// as the pre-streaming code did: a full trace of freshly allocated
+// StepResults, then post-hoc reductions/labelling over it.
 package boreas_test
 
 import (
@@ -29,9 +29,59 @@ func equivSimConfig() sim.Config {
 	return cfg
 }
 
+// stepFresh advances p one timestep into a fresh StepResult, so the
+// reference may retain every step (the streamed paths reuse one scratch).
+func stepFresh(p *sim.Pipeline, run *workload.Run, fGHz float64) (sim.StepResult, error) {
+	var r sim.StepResult
+	err := p.StepInto(run, fGHz, &r)
+	return r, err
+}
+
+// materialize warm-starts p and runs the named workload at a fixed
+// frequency, retaining the whole trace.
+func materialize(p *sim.Pipeline, name string, fGHz float64, steps int) ([]sim.StepResult, error) {
+	w, err := p.Workloads().ByName(name)
+	if err != nil {
+		return nil, err
+	}
+	if err := p.WarmStart(w, fGHz); err != nil {
+		return nil, err
+	}
+	run := w.NewRun(p.Config().Seed)
+	tr := make([]sim.StepResult, steps)
+	for i := range tr {
+		if tr[i], err = stepFresh(p, run, fGHz); err != nil {
+			return nil, err
+		}
+	}
+	return tr, nil
+}
+
+// labelPostHoc appends one row per step t whose horizon fits in the
+// trace, labelled with the maximum severity over (t, t+horizon]. With
+// holds non-nil, rows whose horizon crosses a hold boundary are skipped.
+func labelPostHoc(ds *telemetry.Dataset, tr []sim.StepResult, holds []int, name string, horizon, sensorIndex int) error {
+	for t := 0; t+horizon < len(tr); t++ {
+		if holds != nil && holds[t+horizon] != holds[t] {
+			continue
+		}
+		label := 0.0
+		for h := 1; h <= horizon; h++ {
+			if s := tr[t+h].Severity.Max; s > label {
+				label = s
+			}
+		}
+		x := telemetry.Extract(tr[t].Counters, tr[t].SensorDelayed[sensorIndex])
+		if err := ds.Add(x, label, name); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // TestEquivalence_BuildDataset: the streamed telemetry.Build must equal a
-// hand-materialized campaign (RunStatic + AppendTrace per task, merged in
-// canonical order), and must stay identical at -j1 and -j8.
+// hand-materialized campaign (a full trace labelled post hoc per task,
+// merged in canonical order), and must stay identical at -j1 and -j8.
 func TestEquivalence_BuildDataset(t *testing.T) {
 	cfg := telemetry.DefaultBuildConfig(
 		[]string{"gromacs", "bzip2", "calculix"}, []float64{3.5, 4.0, 4.5})
@@ -49,11 +99,11 @@ func TestEquivalence_BuildDataset(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			steps, err := p.RunStatic(name, f, cfg.StepsPerRun)
+			tr, err := materialize(p, name, f, cfg.StepsPerRun)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := telemetry.AppendTrace(want, steps, name, cfg.Horizon, cfg.SensorIndex); err != nil {
+			if err := labelPostHoc(want, tr, nil, name, cfg.Horizon, cfg.SensorIndex); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -150,29 +200,14 @@ func materializedWalk(cfg telemetry.WalkConfig, name string, walk int, ds *telem
 			}
 			holdStart = step
 		}
-		res, err := p.Step(run, cfg.Frequencies[fi])
+		res, err := stepFresh(p, run, cfg.Frequencies[fi])
 		if err != nil {
 			return err
 		}
 		trace = append(trace, res)
 		holds = append(holds, holdStart)
 	}
-	for t := 0; t+cfg.Horizon < len(trace); t++ {
-		if holds[t+cfg.Horizon] != holds[t] {
-			continue
-		}
-		label := 0.0
-		for h := 1; h <= cfg.Horizon; h++ {
-			if s := trace[t+h].Severity.Max; s > label {
-				label = s
-			}
-		}
-		x := telemetry.Extract(trace[t].Counters, trace[t].SensorDelayed[cfg.SensorIndex])
-		if err := ds.Add(x, label, name); err != nil {
-			return err
-		}
-	}
-	return nil
+	return labelPostHoc(ds, trace, holds, name, cfg.Horizon, cfg.SensorIndex)
 }
 
 // TestEquivalence_OraclePeaks: the PeakReducer-streamed oracle table must
@@ -196,11 +231,15 @@ func TestEquivalence_OraclePeaks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tr, err := pc.RunStatic(name, f, steps)
+			tr, err := materialize(pc, name, f, steps)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantPeak[name][f] = sim.PeakSeverity(tr)
+			peak := 0.0
+			for i := range tr {
+				peak = math.Max(peak, tr[i].Severity.Max)
+			}
+			wantPeak[name][f] = peak
 		}
 	}
 
@@ -239,7 +278,7 @@ func TestEquivalence_CriticalTemps(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tr, err := pc.RunStatic(name, f, steps)
+			tr, err := materialize(pc, name, f, steps)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -272,8 +311,8 @@ func TestEquivalence_CriticalTemps(t *testing.T) {
 	}
 }
 
-// TestEquivalence_RunLoop: the Drive-based closed loop must reproduce the
-// seed's explicit step loop (recorded trace, decisions, and scores).
+// TestEquivalence_RunLoop: the ChipStream-based closed loop must
+// reproduce the seed's explicit step loop (recorded trace, decisions, and scores).
 func TestEquivalence_RunLoop(t *testing.T) {
 	cfg := equivSimConfig()
 	p, err := sim.New(cfg)
@@ -309,7 +348,7 @@ func TestEquivalence_RunLoop(t *testing.T) {
 	freq := lc.StartFreq
 	var last sim.StepResult
 	for step := 0; step < lc.Steps; step++ {
-		r, err := pr.Step(run, freq)
+		r, err := stepFresh(pr, run, freq)
 		if err != nil {
 			t.Fatal(err)
 		}

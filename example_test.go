@@ -50,11 +50,11 @@ func ExampleNewPipeline() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	trace, err := pipe.RunStatic("calculix", 4.0, 12)
-	if err != nil {
+	var rec boreas.TraceRecorder
+	if err := boreas.RunStaticObserved(pipe, "calculix", 4.0, 12, &rec); err != nil {
 		log.Fatal(err)
 	}
-	last := trace[len(trace)-1]
+	last := rec.T.At(rec.T.Len() - 1)
 	fmt.Printf("t=%.2f ms, %d sensors, severity in [0,2]: %t\n",
 		last.Time*1e3, len(last.SensorDelayed), last.Severity.Max >= 0 && last.Severity.Max <= 2)
 	// Output:

@@ -28,8 +28,8 @@ type FleetConfig struct {
 	// (heterogeneous fleets). The returned controller is used as-is —
 	// the factory owns cloning if it hands out shared state.
 	ControllerFor func(chip int) (control.Controller, error)
-	// Loop configures each chip's closed-loop run. Zero value:
-	// DefaultLoopConfig.
+	// Loop configures each chip's closed-loop run; unset fields default
+	// per LoopConfig.Defaulted.
 	Loop LoopConfig
 	// Seed is the base seed; chip i simulates with
 	// runner.DeriveSeed(Seed, i), so every chip sees decorrelated
@@ -76,29 +76,6 @@ type FleetResult struct {
 	DegradedChips int
 }
 
-// defaultedLoop fills unset LoopConfig fields from DefaultLoopConfig,
-// field by field: a partial config such as LoopConfig{Steps: 300}
-// inherits the default decision period, start frequency and sensor
-// instead of failing validation. Zero means unset for every defaulted
-// field — including SensorIndex, where sensor 0 cannot be requested
-// through a fleet config (drive RunLoop directly for that).
-func defaultedLoop(loop LoopConfig) LoopConfig {
-	def := DefaultLoopConfig()
-	if loop.Steps == 0 {
-		loop.Steps = def.Steps
-	}
-	if loop.DecisionPeriod == 0 {
-		loop.DecisionPeriod = def.DecisionPeriod
-	}
-	if loop.StartFreq == 0 {
-		loop.StartFreq = def.StartFreq
-	}
-	if loop.SensorIndex == 0 {
-		loop.SensorIndex = def.SensorIndex
-	}
-	return loop
-}
-
 // RunFleet executes cfg.Chips independent closed-loop sessions against
 // clones of the pipeline and aggregates the per-chip summaries. Chip i
 // runs workload Workloads[i%len], on a pipeline seeded with
@@ -119,7 +96,7 @@ func RunFleet(ctx context.Context, p *sim.Pipeline, cfg FleetConfig) (*FleetResu
 	if len(workloads) == 0 {
 		return nil, fmt.Errorf("engine: fleet has no workloads")
 	}
-	loop := defaultedLoop(cfg.Loop)
+	loop := cfg.Loop.Defaulted()
 
 	chips, err := runner.Map(ctx, cfg.Workers, cfg.Chips, func(ctx context.Context, i int) (ChipResult, error) {
 		seed := runner.DeriveSeed(cfg.Seed, uint64(i))

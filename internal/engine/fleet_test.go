@@ -33,8 +33,8 @@ func TestDefaultedLoopFieldwise(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := defaultedLoop(tc.in); !reflect.DeepEqual(got, tc.want) {
-				t.Fatalf("defaultedLoop(%+v) = %+v, want %+v", tc.in, got, tc.want)
+			if got := tc.in.Defaulted(); !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("%+v.Defaulted() = %+v, want %+v", tc.in, got, tc.want)
 			}
 		})
 	}

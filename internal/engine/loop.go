@@ -2,12 +2,10 @@ package engine
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/hotgauge/boreas/internal/control"
 	"github.com/hotgauge/boreas/internal/power"
 	"github.com/hotgauge/boreas/internal/sim"
-	"github.com/hotgauge/boreas/internal/trace"
 	"github.com/hotgauge/boreas/internal/workload"
 )
 
@@ -33,8 +31,9 @@ type LoopConfig struct {
 	CounterTap control.CounterTap
 	// VF is the operating curve StartFreq is validated against and
 	// controller decisions are clamped with. The zero value means "the
-	// pipeline's curve": RunLoop fills it from the pipeline, so only
-	// standalone Validate calls fall back to the default Table I curve.
+	// pipeline's curve": RunLoop and NewChipStream fill it from the
+	// pipeline, so only standalone Validate calls fall back to the
+	// default Table I curve.
 	VF power.VFCurve
 }
 
@@ -47,6 +46,29 @@ func DefaultLoopConfig() LoopConfig {
 		StartFreq:      3.75,
 		SensorIndex:    sim.DefaultSensorIndex,
 	}
+}
+
+// Defaulted fills unset fields from DefaultLoopConfig, field by field: a
+// partial config such as LoopConfig{Steps: 300} inherits the default
+// decision period, start frequency and sensor instead of failing
+// validation. Zero means unset for every defaulted field — including
+// SensorIndex, where sensor 0 cannot be requested through a defaulted
+// config (drive RunLoop directly for that).
+func (c LoopConfig) Defaulted() LoopConfig {
+	def := DefaultLoopConfig()
+	if c.Steps == 0 {
+		c.Steps = def.Steps
+	}
+	if c.DecisionPeriod == 0 {
+		c.DecisionPeriod = def.DecisionPeriod
+	}
+	if c.StartFreq == 0 {
+		c.StartFreq = def.StartFreq
+	}
+	if c.SensorIndex == 0 {
+		c.SensorIndex = def.SensorIndex
+	}
+	return c
 }
 
 // Validate reports configuration errors.
@@ -91,77 +113,26 @@ type LoopResult struct {
 	Stats Stats
 }
 
-// loopObserver closes the control loop over the streaming drive: it
-// scores every timestep into the LoopResult and, at decision boundaries,
-// feeds the step's telemetry to the session — whose commanded frequency
-// the drive's freqFn reads before executing the next step. Everything it
-// retains from the scratch StepResult is copied by value (scalars and
-// the Counters struct), per the trace.Observer contract.
-type loopObserver struct {
-	cfg  LoopConfig
-	sess *Session
-	res  *LoopResult
-}
-
-func (o *loopObserver) Begin(trace.Meta) {}
-
-func (o *loopObserver) Observe(step int, r *sim.StepResult) {
-	res := o.res
-	res.Freqs = append(res.Freqs, o.sess.Freq())
-	res.Severity = append(res.Severity, r.Severity.Max)
-	res.SensorTemp = append(res.SensorTemp, r.SensorDelayed[o.cfg.SensorIndex])
-	res.PeakMLTD = math.Max(res.PeakMLTD, r.Severity.MaxMLTD)
-	if r.Severity.Max >= 1.0 {
-		res.Incursions++
-	}
-	if (step+1)%o.cfg.DecisionPeriod == 0 && step+1 < o.cfg.Steps {
-		obs := Observation{
-			Counters:   r.Counters,
-			SensorTemp: r.SensorDelayed[o.cfg.SensorIndex],
-		}
-		if o.cfg.CounterTap != nil {
-			o.cfg.CounterTap.Apply(step, &obs.Counters)
-		}
-		o.sess.Decide(obs)
-	}
-}
-
-func (o *loopObserver) End() error { return nil }
-
-// RunLoop executes a closed-loop run of the controller on the workload.
-// The pipeline is warm-started at the starting frequency; a Session
-// wraps the controller and owns the operating point between decisions.
-// The run streams through trace.Drive — no intermediate []sim.StepResult
-// is materialized.
+// RunLoop executes a closed-loop run of the controller on the workload:
+// a ChipStream driven by an in-process Session. The pipeline is
+// warm-started at the starting frequency; the session wraps the
+// controller and owns the operating point between decisions. The run
+// makes a decision after every full interval that ends before the last
+// step, then simulates the remaining tail at the final decision.
 func RunLoop(p *sim.Pipeline, w *workload.Workload, ctrl control.Controller, cfg LoopConfig) (*LoopResult, error) {
-	if cfg.VF.IsZero() {
-		cfg.VF = p.VF()
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.SensorIndex >= p.NumSensors() {
-		return nil, fmt.Errorf("engine: sensor index %d out of range", cfg.SensorIndex)
-	}
-	if err := p.WarmStart(w, cfg.StartFreq); err != nil {
-		return nil, err
-	}
-	sess, err := NewSession(SessionConfig{Controller: ctrl, VF: cfg.VF, StartFreq: cfg.StartFreq})
+	cs, err := newChipStream(p, w, cfg)
 	if err != nil {
 		return nil, err
 	}
 	if cfg.SensorTap != nil {
-		// Installed after WarmStart so the fault window is measured in
-		// run steps; removed before returning so the caller's pipeline is
-		// clean for the next run.
-		p.SetSensorTap(cfg.SensorTap)
+		// The stream installed the tap after WarmStart; remove it so the
+		// caller's pipeline is clean for the next run.
 		defer p.SetSensorTap(nil)
 	}
-	if cfg.CounterTap != nil {
-		cfg.CounterTap.Reset()
+	sess, err := NewSession(SessionConfig{Controller: ctrl, VF: cs.cfg.VF, StartFreq: cfg.StartFreq})
+	if err != nil {
+		return nil, err
 	}
-	run := w.NewRun(p.Config().Seed)
-
 	res := &LoopResult{
 		Workload:   w.Name,
 		Controller: ctrl.Name(),
@@ -169,18 +140,20 @@ func RunLoop(p *sim.Pipeline, w *workload.Workload, ctrl control.Controller, cfg
 		Severity:   make([]float64, 0, cfg.Steps),
 		SensorTemp: make([]float64, 0, cfg.Steps),
 	}
-	lo := &loopObserver{cfg: cfg, sess: sess, res: res}
-	if err := trace.Drive(p, run, func(int) float64 { return sess.Freq() }, cfg.Steps, lo); err != nil {
+	cs.trace = res
+	decisions := (cfg.Steps - 1) / cfg.DecisionPeriod
+	for k := 0; k < decisions; k++ {
+		obs, err := cs.Next(sess.Freq())
+		if err != nil {
+			return nil, err
+		}
+		sess.Decide(obs)
+	}
+	if _, err := cs.Advance(sess.Freq(), cfg.Steps-decisions*cfg.DecisionPeriod); err != nil {
 		return nil, err
 	}
-	sum := 0.0
-	for _, f := range res.Freqs {
-		sum += f
-	}
-	res.AvgFreq = sum / float64(len(res.Freqs))
-	for _, s := range res.Severity {
-		res.PeakSeverity = math.Max(res.PeakSeverity, s)
-	}
+	sum := cs.Summary()
+	res.AvgFreq, res.PeakSeverity, res.PeakMLTD, res.Incursions = sum.AvgFreq, sum.PeakSeverity, sum.PeakMLTD, sum.Incursions
 	res.Stats = sess.Stats
 	return res, nil
 }

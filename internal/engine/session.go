@@ -1,8 +1,9 @@
 // Package engine is the closed-loop harness that drives controllers
-// against a simulated chip: per-chip decision Sessions, the streaming
-// RunLoop, the calibration builders (critical-temperature tables, oracle
-// sweeps, thermal-margin calibration), and fleet execution that shards
-// many independent sessions over a worker pool.
+// against a simulated chip: per-chip decision Sessions, the ChipStream
+// closed loop (RunLoop drives one with a Session), the calibration
+// builders (critical-temperature tables, oracle sweeps, thermal-margin
+// calibration), and fleet execution that shards many independent
+// sessions over a worker pool.
 //
 // The split with internal/control is strict: control holds pure decision
 // functions over an Observation and never imports the simulator; engine

@@ -7,16 +7,15 @@ import (
 	"github.com/hotgauge/boreas/internal/workload"
 )
 
-// ChipStream is the incremental form of a closed-loop run: where RunLoop
-// owns both sides of the loop (simulate a decision interval, decide,
-// apply), a ChipStream owns only the chip. The caller advances it one
-// decision interval at a time with Next, receives the telemetry a real
-// chip would report at that decision boundary, obtains a frequency from
-// wherever it likes — an in-process Session, an HTTP decision daemon, a
-// replayed log — and feeds it back into the next Next call. That
-// inversion is what lets the load-replay harness put a network between
-// the chip and its controller while the telemetry stream stays
-// bit-identical to RunLoop's (TestChipStreamMatchesRunLoop pins it).
+// ChipStream is the incremental form of a closed-loop run: it owns only
+// the chip. The caller advances it one decision interval at a time with
+// Next, receives the telemetry a real chip would report at that decision
+// boundary, obtains a frequency from wherever it likes — an in-process
+// Session (which is all RunLoop is), an HTTP decision daemon, a replayed
+// log — and feeds it back into the next Next call. That inversion is
+// what lets the load-replay harness put a network between the chip and
+// its controller while the telemetry stream stays bit-identical to
+// RunLoop's (TestChipStreamMatchesRunLoop pins it).
 //
 // A ChipStream is stateful and not safe for concurrent use: run
 // concurrent chips on separate streams over cloned pipelines, exactly
@@ -24,9 +23,10 @@ import (
 type ChipStream struct {
 	p       *sim.Pipeline
 	run     *workload.Run
-	period  int
-	sensor  int
+	cfg     LoopConfig
 	scratch sim.StepResult
+	// trace, when set (by RunLoop only), receives the per-step series.
+	trace *LoopResult
 
 	steps        int
 	sumFreq      float64
@@ -56,14 +56,20 @@ type StreamSummary struct {
 // NewChipStream warm-starts the pipeline at cfg.StartFreq and positions
 // a stream at step zero. cfg.Steps is ignored — a stream is open-ended,
 // the caller decides how many intervals to run — but every other
-// LoopConfig field keeps its RunLoop meaning. The pipeline is owned by
-// the stream until the stream is abandoned.
+// LoopConfig field keeps its RunLoop meaning, fault taps included: a
+// SensorTap is installed on the pipeline after the warm start (and left
+// there; the caller removes it), a CounterTap corrupts every returned
+// observation. The pipeline is owned by the stream until the stream is
+// abandoned.
 func NewChipStream(p *sim.Pipeline, w *workload.Workload, cfg LoopConfig) (*ChipStream, error) {
+	cfg.Steps = cfg.DecisionPeriod
+	return newChipStream(p, w, cfg)
+}
+
+// newChipStream is NewChipStream validating cfg.Steps as given.
+func newChipStream(p *sim.Pipeline, w *workload.Workload, cfg LoopConfig) (*ChipStream, error) {
 	if cfg.VF.IsZero() {
 		cfg.VF = p.VF()
-	}
-	if cfg.Steps <= 0 {
-		cfg.Steps = cfg.DecisionPeriod
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -71,28 +77,30 @@ func NewChipStream(p *sim.Pipeline, w *workload.Workload, cfg LoopConfig) (*Chip
 	if cfg.SensorIndex >= p.NumSensors() {
 		return nil, fmt.Errorf("engine: sensor index %d out of range", cfg.SensorIndex)
 	}
-	if cfg.SensorTap != nil || cfg.CounterTap != nil {
-		return nil, fmt.Errorf("engine: fault taps are not supported on a ChipStream")
-	}
 	if err := p.WarmStart(w, cfg.StartFreq); err != nil {
 		return nil, err
 	}
-	return &ChipStream{
-		p:      p,
-		run:    w.NewRun(p.Config().Seed),
-		period: cfg.DecisionPeriod,
-		sensor: cfg.SensorIndex,
-	}, nil
+	if cfg.SensorTap != nil {
+		// Installed after WarmStart so the fault window is measured in
+		// run steps.
+		p.SetSensorTap(cfg.SensorTap)
+	}
+	if cfg.CounterTap != nil {
+		cfg.CounterTap.Reset()
+	}
+	return &ChipStream{p: p, run: w.NewRun(p.Config().Seed), cfg: cfg}, nil
 }
 
 // Advance executes steps timesteps at the commanded frequency and
 // returns the observation a controller would receive at the last of
-// them: the step's counters and the delayed reading of the configured
-// sensor. Aggregates (Summary) fold in every executed step.
+// them: the step's counters (through the CounterTap, if any, at that
+// step's index) and the delayed reading of the configured sensor.
+// Aggregates (Summary) fold in every executed step.
 func (cs *ChipStream) Advance(freq float64, steps int) (Observation, error) {
 	if steps <= 0 {
 		return Observation{}, fmt.Errorf("engine: stream advance needs a positive step count, got %d", steps)
 	}
+	sensor := cs.cfg.SensorIndex
 	for i := 0; i < steps; i++ {
 		if err := cs.p.StepInto(cs.run, freq, &cs.scratch); err != nil {
 			return Observation{}, err
@@ -108,17 +116,26 @@ func (cs *ChipStream) Advance(freq float64, steps int) (Observation, error) {
 		if cs.scratch.Severity.Max >= 1.0 {
 			cs.incursions++
 		}
+		if t := cs.trace; t != nil {
+			t.Freqs = append(t.Freqs, freq)
+			t.Severity = append(t.Severity, cs.scratch.Severity.Max)
+			t.SensorTemp = append(t.SensorTemp, cs.scratch.SensorDelayed[sensor])
+		}
 	}
-	return Observation{
+	obs := Observation{
 		Counters:   cs.scratch.Counters,
-		SensorTemp: cs.scratch.SensorDelayed[cs.sensor],
-	}, nil
+		SensorTemp: cs.scratch.SensorDelayed[sensor],
+	}
+	if cs.cfg.CounterTap != nil {
+		cs.cfg.CounterTap.Apply(cs.steps-1, &obs.Counters)
+	}
+	return obs, nil
 }
 
 // Next advances one full decision interval (DecisionPeriod timesteps) at
 // the commanded frequency and returns the boundary observation.
 func (cs *ChipStream) Next(freq float64) (Observation, error) {
-	return cs.Advance(freq, cs.period)
+	return cs.Advance(freq, cs.cfg.DecisionPeriod)
 }
 
 // Steps returns the number of timesteps executed so far.

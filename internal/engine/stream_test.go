@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/hotgauge/boreas/internal/control"
+	"github.com/hotgauge/boreas/internal/faults"
 	"github.com/hotgauge/boreas/internal/sim"
 )
 
@@ -29,7 +30,8 @@ func gradedTable(p *sim.Pipeline) *control.CriticalTemps {
 // a ChipStream externally with a Session — the exact decomposition the
 // load-replay harness performs with an HTTP daemon in the middle — is
 // bit-identical to RunLoop on the same pipeline seed: same aggregate
-// scores, same decision stats, down to float equality.
+// scores, same decision stats, down to float equality, with and without
+// a sensor fault tap on the stream.
 func TestChipStreamMatchesRunLoop(t *testing.T) {
 	p := fastSim(t)
 	table := gradedTable(p)
@@ -37,74 +39,95 @@ func TestChipStreamMatchesRunLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultLoopConfig()
-	cfg.Steps = 60 // 4 decisions at period 12, plus a 12-step tail
-
-	ref, err := RunLoop(p, w, control.NewThermalController(table, 0), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The trajectory must actually move, or the equivalence is vacuous.
-	if ref.Stats.Throttles+ref.Stats.Climbs == 0 {
-		t.Fatalf("reference trajectory never moved: %+v", ref.Stats)
-	}
-
-	// Same pipeline: NewChipStream warm-starts from scratch, so the
-	// stream replays the identical run.
-	cs, err := NewChipStream(p, w, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := NewSession(SessionConfig{
-		Controller: control.NewThermalController(table, 0),
-		VF:         p.VF(),
-		StartFreq:  cfg.StartFreq,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	decisions := (cfg.Steps - 1) / cfg.DecisionPeriod
-	freq := cfg.StartFreq
-	for k := 0; k < decisions; k++ {
-		obs, err := cs.Next(freq)
-		if err != nil {
-			t.Fatalf("tick %d: %v", k, err)
+	for _, sc := range []faults.Scenario{
+		{Class: faults.None},
+		{Class: faults.SensorNoise, Intensity: 1, Start: 10, Sensor: -1, Seed: 3},
+	} {
+		// Taps are stateful, so each run gets its own.
+		withTaps := func(cfg LoopConfig) LoopConfig {
+			stap, ktap, err := faults.Taps(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stap != nil {
+				cfg.SensorTap = stap
+			}
+			if ktap != nil {
+				cfg.CounterTap = ktap
+			}
+			return cfg
 		}
-		freq = sess.Decide(obs).Freq
-	}
-	if tail := cfg.Steps - decisions*cfg.DecisionPeriod; tail > 0 {
-		if _, err := cs.Advance(freq, tail); err != nil {
+		cfg := DefaultLoopConfig()
+		cfg.Steps = 60 // 4 decisions at period 12, plus a 12-step tail
+
+		ref, err := RunLoop(p, w, control.NewThermalController(table, 0), withTaps(cfg))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
+		// The trajectory must actually move, or the equivalence is vacuous.
+		if ref.Stats.Throttles+ref.Stats.Climbs == 0 {
+			t.Fatalf("%s: reference trajectory never moved: %+v", sc.Name(), ref.Stats)
+		}
 
-	sum := cs.Summary()
-	if sum.Steps != cfg.Steps {
-		t.Fatalf("stream ran %d steps, want %d", sum.Steps, cfg.Steps)
-	}
-	if sum.Workload != ref.Workload {
-		t.Fatalf("workload %q, want %q", sum.Workload, ref.Workload)
-	}
-	if sum.AvgFreq != ref.AvgFreq {
-		t.Fatalf("AvgFreq %v != RunLoop %v", sum.AvgFreq, ref.AvgFreq)
-	}
-	if sum.PeakSeverity != ref.PeakSeverity {
-		t.Fatalf("PeakSeverity %v != RunLoop %v", sum.PeakSeverity, ref.PeakSeverity)
-	}
-	if sum.PeakMLTD != ref.PeakMLTD {
-		t.Fatalf("PeakMLTD %v != RunLoop %v", sum.PeakMLTD, ref.PeakMLTD)
-	}
-	if sum.Incursions != ref.Incursions {
-		t.Fatalf("Incursions %d != RunLoop %d", sum.Incursions, ref.Incursions)
-	}
-	if sess.Stats != ref.Stats {
-		t.Fatalf("Stats %+v != RunLoop %+v", sess.Stats, ref.Stats)
+		// Same pipeline: NewChipStream warm-starts from scratch, so the
+		// stream replays the identical run.
+		cs, err := NewChipStream(p, w, withTaps(cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := NewSession(SessionConfig{
+			Controller: control.NewThermalController(table, 0),
+			VF:         p.VF(),
+			StartFreq:  cfg.StartFreq,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		decisions := (cfg.Steps - 1) / cfg.DecisionPeriod
+		freq := cfg.StartFreq
+		for k := 0; k < decisions; k++ {
+			obs, err := cs.Next(freq)
+			if err != nil {
+				t.Fatalf("tick %d: %v", k, err)
+			}
+			freq = sess.Decide(obs).Freq
+		}
+		if tail := cfg.Steps - decisions*cfg.DecisionPeriod; tail > 0 {
+			if _, err := cs.Advance(freq, tail); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p.SetSensorTap(nil) // the stream leaves its tap installed
+
+		sum := cs.Summary()
+		if sum.Steps != cfg.Steps {
+			t.Fatalf("%s: stream ran %d steps, want %d", sc.Name(), sum.Steps, cfg.Steps)
+		}
+		if sum.Workload != ref.Workload {
+			t.Fatalf("%s: workload %q, want %q", sc.Name(), sum.Workload, ref.Workload)
+		}
+		if sum.AvgFreq != ref.AvgFreq {
+			t.Fatalf("%s: AvgFreq %v != RunLoop %v", sc.Name(), sum.AvgFreq, ref.AvgFreq)
+		}
+		if sum.PeakSeverity != ref.PeakSeverity {
+			t.Fatalf("%s: PeakSeverity %v != RunLoop %v", sc.Name(), sum.PeakSeverity, ref.PeakSeverity)
+		}
+		if sum.PeakMLTD != ref.PeakMLTD {
+			t.Fatalf("%s: PeakMLTD %v != RunLoop %v", sc.Name(), sum.PeakMLTD, ref.PeakMLTD)
+		}
+		if sum.Incursions != ref.Incursions {
+			t.Fatalf("%s: Incursions %d != RunLoop %d", sc.Name(), sum.Incursions, ref.Incursions)
+		}
+		if sess.Stats != ref.Stats {
+			t.Fatalf("%s: Stats %+v != RunLoop %+v", sc.Name(), sess.Stats, ref.Stats)
+		}
 	}
 }
 
 // TestChipStreamOpenEnded pins that a stream is not bound by
-// LoopConfig.Steps: a zero-Steps config validates, and the stream keeps
-// producing intervals for as long as the caller asks.
+// LoopConfig.Steps: a zero-Steps config and one shorter than a decision
+// period both validate, and the stream keeps producing intervals for as
+// long as the caller asks.
 func TestChipStreamOpenEnded(t *testing.T) {
 	p := fastSim(t)
 	w, err := p.Workloads().ByName("gamess")
@@ -112,6 +135,10 @@ func TestChipStreamOpenEnded(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultLoopConfig()
+	cfg.Steps = cfg.DecisionPeriod - 1
+	if _, err := NewChipStream(p, w, cfg); err != nil {
+		t.Fatalf("Steps < DecisionPeriod rejected: %v", err)
+	}
 	cfg.Steps = 0
 	cs, err := NewChipStream(p, w, cfg)
 	if err != nil {
@@ -142,6 +169,12 @@ func TestChipStreamErrors(t *testing.T) {
 	bad.SensorIndex = 99
 	if _, err := NewChipStream(p, w, bad); err == nil {
 		t.Fatal("expected sensor range error")
+	}
+	bad = DefaultLoopConfig()
+	bad.Steps = 5 // ignored: only the period is checked
+	bad.DecisionPeriod = 0
+	if _, err := NewChipStream(p, w, bad); err == nil {
+		t.Fatal("expected decision period error")
 	}
 	cs, err := NewChipStream(p, w, DefaultLoopConfig())
 	if err != nil {

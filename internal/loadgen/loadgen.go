@@ -80,7 +80,7 @@ type Config struct {
 	Seed uint64
 	// Loop shapes each chip's decision interval (period, start
 	// frequency, sensor). Steps is ignored — Ticks/Duration bound the
-	// run. Zero fields default as in engine fleets.
+	// run. Zero fields default per engine.LoopConfig.Defaulted.
 	Loop engine.LoopConfig
 	// Workers bounds the simulator-advance worker pool (0: one per CPU).
 	// Replay output is bit-identical at any worker count.
@@ -126,24 +126,6 @@ type chip struct {
 	served serve.Decision     // this round's daemon decision
 }
 
-// defaultedLoop mirrors engine fleet defaulting for the stream config:
-// unset fields inherit DefaultLoopConfig, Steps is left to the stream
-// (which ignores it).
-func defaultedLoop(loop engine.LoopConfig) engine.LoopConfig {
-	def := engine.DefaultLoopConfig()
-	if loop.DecisionPeriod == 0 {
-		loop.DecisionPeriod = def.DecisionPeriod
-	}
-	if loop.StartFreq == 0 {
-		loop.StartFreq = def.StartFreq
-	}
-	if loop.SensorIndex == 0 {
-		loop.SensorIndex = def.SensorIndex
-	}
-	loop.Steps = 0
-	return loop
-}
-
 // Run executes the load-replay campaign and returns its report. The
 // context cancels the run between rounds (and aborts in-flight HTTP
 // requests); a cancelled run returns the context error.
@@ -151,7 +133,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	loop := defaultedLoop(cfg.Loop)
+	loop := cfg.Loop.Defaulted()
 	if loop.VF.IsZero() {
 		loop.VF = cfg.Platform.VF
 	}

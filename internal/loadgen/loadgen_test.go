@@ -107,7 +107,7 @@ func TestRunDetectsDivergence(t *testing.T) {
 	// expects the synthetic thermal trajectory.
 	wrong := cfg
 	wrong.Controller = &control.FixedController{ControllerName: "fixed-max", Frequency: pf.VF.MaxGHz()}
-	srv, err := startInProcess(wrong, defaultedLoop(cfg.Loop))
+	srv, err := startInProcess(wrong, cfg.Loop.Defaulted())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,17 +9,16 @@ import (
 	"math"
 )
 
-// Binary model format: a compact little-endian encoding. Version 1
-// stored thresholds, leaf values and gains as float32, which truncated
-// the float64 the trainer produced — a reloaded model could route a
-// sample across a threshold differently than the model that was
-// evaluated in the lab. Version 2 stores all three as float64, so
-// save→load is bit-exact; version 1 files remain readable. (The paper's
-// hardware-cost accounting of one 32-bit word per node lives in
-// WeightBytes and is unaffected by the file format.)
+// Binary model format: a compact little-endian encoding. Thresholds,
+// leaf values and gains are stored as float64, so save→load is
+// bit-exact. The retired version 1 ("BGT1") stored them as float32,
+// which could route a reloaded model's samples across a truncated
+// threshold; such files are rejected. (The paper's hardware-cost
+// accounting of one 32-bit word per node lives in WeightBytes and is
+// unaffected by the file format.)
 const (
-	magicV1 = 0x42475431 // "BGT1": legacy float32 node payload, read-only
-	magicV2 = 0x42475432 // "BGT2": float64 node payload, written by WriteTo
+	magicBGT1 = 0x42475431 // "BGT1": retired float32 node payload, rejected
+	magicV2   = 0x42475432 // "BGT2": float64 node payload, written by WriteTo
 )
 
 // WriteTo serialises the model.
@@ -103,10 +102,12 @@ func Read(r io.Reader) (*Model, error) {
 	if err := get(&mg); err != nil {
 		return nil, fmt.Errorf("gbt: reading magic: %w", err)
 	}
-	if mg != magicV1 && mg != magicV2 {
+	if mg == magicBGT1 {
+		return nil, fmt.Errorf("gbt: legacy BGT1 model; re-save it with this version")
+	}
+	if mg != magicV2 {
 		return nil, fmt.Errorf("gbt: bad magic %#x", mg)
 	}
-	legacy32 := mg == magicV1
 	var numTrees, maxDepth, numFeat, treeCount uint32
 	for _, p := range []*uint32{&numTrees, &maxDepth, &numFeat, &treeCount} {
 		if err := get(p); err != nil {
@@ -163,30 +164,14 @@ func Read(r io.Reader) (*Model, error) {
 			if err := get(&nodes[i].Right); err != nil {
 				return nil, err
 			}
-			if legacy32 {
-				var th, val, gain float32
-				if err := get(&th); err != nil {
-					return nil, err
-				}
-				if err := get(&val); err != nil {
-					return nil, err
-				}
-				if err := get(&gain); err != nil {
-					return nil, err
-				}
-				nodes[i].Threshold = float64(th)
-				nodes[i].Value = float64(val)
-				nodes[i].Gain = float64(gain)
-			} else {
-				if err := get(&nodes[i].Threshold); err != nil {
-					return nil, err
-				}
-				if err := get(&nodes[i].Value); err != nil {
-					return nil, err
-				}
-				if err := get(&nodes[i].Gain); err != nil {
-					return nil, err
-				}
+			if err := get(&nodes[i].Threshold); err != nil {
+				return nil, err
+			}
+			if err := get(&nodes[i].Value); err != nil {
+				return nil, err
+			}
+			if err := get(&nodes[i].Gain); err != nil {
+				return nil, err
 			}
 			if nodes[i].Feature >= 0 {
 				// Trees are stored breadth-first, so a legitimate child

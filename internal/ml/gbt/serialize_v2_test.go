@@ -1,58 +1,13 @@
 package gbt
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/binary"
-	"io"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/hotgauge/boreas/internal/rng"
 )
-
-// writeLegacyV1 encodes a model in the retired float32 format ("BGT1"),
-// byte for byte what WriteTo produced before the float64 fix, so the
-// back-compat path stays covered without keeping a binary fixture.
-func writeLegacyV1(t *testing.T, m *Model) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	put := func(v any) {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	put(uint32(magicV1))
-	for _, v := range []uint32{uint32(m.Params.NumTrees), uint32(m.Params.MaxDepth), uint32(len(m.FeatureNames)), uint32(len(m.Trees))} {
-		put(v)
-	}
-	for _, f := range []float64{m.Params.LearningRate, m.Params.Gamma, m.Params.Lambda, m.Params.MinChildWeight, m.Base} {
-		put(f)
-	}
-	for _, name := range m.FeatureNames {
-		put(uint16(len(name)))
-		if _, err := io.WriteString(bw, name); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for ti := range m.Trees {
-		nodes := m.Trees[ti].Nodes
-		put(uint32(len(nodes)))
-		for _, nd := range nodes {
-			put(nd.Feature)
-			put(nd.Left)
-			put(nd.Right)
-			put(float32(nd.Threshold))
-			put(float32(nd.Value))
-			put(float32(nd.Gain))
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
 
 // TestSaveLoadBitIdentical is the headline regression for the lossy
 // serialization bug: a saved-then-loaded model must make BIT-identical
@@ -108,64 +63,19 @@ func TestSaveLoadBitIdentical(t *testing.T) {
 	}
 }
 
-// TestLoadLegacyV1Format: old float32 model files must keep loading, with
-// the documented float32 truncation and nothing worse.
-func TestLoadLegacyV1Format(t *testing.T) {
-	x, y := synth(52, 800)
-	m, err := Train(x, y, names3, Params{NumTrees: 12, MaxDepth: 3, LearningRate: 0.3, Lambda: 1, MinChildWeight: 1})
-	if err != nil {
+// TestLoadLegacyV1Rejected: a retired float32 ("BGT1") model file is
+// refused with an error that names the format, not read with truncated
+// thresholds.
+func TestLoadLegacyV1Rejected(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := tinyModel().WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadModel(writeLegacyV1(t, m))
-	if err != nil {
-		t.Fatalf("legacy format rejected: %v", err)
-	}
-	if len(back.Trees) != len(m.Trees) || back.Base != m.Base {
-		t.Fatal("legacy metadata mismatch")
-	}
-	for ti := range m.Trees {
-		for i, nd := range m.Trees[ti].Nodes {
-			got := back.Trees[ti].Nodes[i]
-			if got.Feature != nd.Feature || got.Left != nd.Left || got.Right != nd.Right {
-				t.Fatalf("legacy structure drifted at tree %d node %d", ti, i)
-			}
-			if got.Threshold != float64(float32(nd.Threshold)) ||
-				got.Value != float64(float32(nd.Value)) ||
-				got.Gain != float64(float32(nd.Gain)) {
-				t.Fatalf("legacy payload not the documented float32 truncation at tree %d node %d", ti, i)
-			}
-		}
-	}
-	// Predictions agree to float32 resolution (the legacy guarantee).
-	for i := 0; i < 100; i++ {
-		if a, b := m.Predict(x[i]), back.Predict(x[i]); math.Abs(a-b) > 1e-4 {
-			t.Fatalf("legacy round trip drifted: %v vs %v", a, b)
-		}
-	}
-}
-
-// TestLegacyV1TruncationWasLossy documents WHY the format was bumped: a
-// v1 round trip does not preserve thresholds bit-for-bit, while v2 does.
-func TestLegacyV1TruncationWasLossy(t *testing.T) {
-	x, y := synth(53, 1200)
-	m, err := Train(x, y, names3, Params{NumTrees: 20, MaxDepth: 3, LearningRate: 0.3, Lambda: 1, MinChildWeight: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadModel(writeLegacyV1(t, m))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lossy := false
-	for ti := range m.Trees {
-		for i, nd := range m.Trees[ti].Nodes {
-			if back.Trees[ti].Nodes[i].Threshold != nd.Threshold || back.Trees[ti].Nodes[i].Value != nd.Value {
-				lossy = true
-			}
-		}
-	}
-	if !lossy {
-		t.Skip("trained thresholds happened to be float32-exact; nothing to demonstrate")
+	data := buf.Bytes()
+	data[0] = 0x31 // "BGT1"
+	_, err := LoadModel(data)
+	if err == nil || !strings.Contains(err.Error(), "legacy BGT1") {
+		t.Fatalf("BGT1 model: got %v, want a legacy-format error", err)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/hotgauge/boreas/internal/sim"
+	"github.com/hotgauge/boreas/internal/trace"
 )
 
 // shortTrace runs a tiny fixed-frequency run and returns the trace.
@@ -16,9 +17,13 @@ func shortTrace(t *testing.T, cfg sim.Config, name string, fGHz float64, steps i
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := p.RunStatic(name, fGHz, steps)
-	if err != nil {
+	var rec trace.Recorder
+	if err := trace.RunStatic(p, name, fGHz, steps, &rec); err != nil {
 		t.Fatal(err)
+	}
+	tr := make([]sim.StepResult, rec.T.Len())
+	for i := range tr {
+		tr[i] = rec.T.At(i)
 	}
 	return tr
 }

@@ -30,7 +30,7 @@ func TestZeroDelayConfigMatchesCurrent(t *testing.T) {
 	w, _ := workload.DefaultSet().ByName("calculix")
 	run := w.NewRun(1)
 	for i := 0; i < 10; i++ {
-		r, err := p.Step(run, 4.0)
+		r, err := stepFresh(p, run, 4.0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +48,7 @@ func TestVoltageFollowsTableI(t *testing.T) {
 	w, _ := workload.DefaultSet().ByName("gamess")
 	run := w.NewRun(1)
 	for _, c := range []struct{ f, v float64 }{{2.0, 0.64}, {3.5, 0.87}, {5.0, 1.40}} {
-		r, err := p.Step(run, c.f)
+		r, err := stepFresh(p, run, c.f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +64,7 @@ func TestSpikyWorkloadSeverityVariance(t *testing.T) {
 	// is built on.
 	variance := func(name string) float64 {
 		p := newPipeline(t)
-		trace, err := p.RunStatic(name, 4.0, 60)
+		trace, err := runStatic(p, name, 4.0, 60)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,14 +91,14 @@ func TestPowerTracksFrequency(t *testing.T) {
 	run := w.NewRun(1)
 	var lowP, highP float64
 	for i := 0; i < 15; i++ {
-		r, err := p.Step(run, 2.0)
+		r, err := stepFresh(p, run, 2.0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		lowP = r.TotalPower
 	}
 	for i := 0; i < 15; i++ {
-		r, err := p.Step(run, 5.0)
+		r, err := stepFresh(p, run, 5.0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +111,7 @@ func TestPowerTracksFrequency(t *testing.T) {
 
 func TestResetRestoresAmbient(t *testing.T) {
 	p := newPipeline(t)
-	if _, err := p.RunStatic("calculix", 4.5, 30); err != nil {
+	if _, err := runStatic(p, "calculix", 4.5, 30); err != nil {
 		t.Fatal(err)
 	}
 	p.Reset()

@@ -37,7 +37,7 @@ type Config struct {
 	// VF is the voltage/frequency operating curve. The zero value selects
 	// the paper's Table I curve (power.DefaultVF).
 	VF power.VFCurve
-	// Workloads is the workload catalogue used by RunStatic and the
+	// Workloads is the workload catalogue used by static runs and the
 	// campaign layers. nil selects the default 27-workload catalogue
 	// (workload.DefaultSet).
 	Workloads *workload.Set
@@ -440,22 +440,6 @@ type StepResult struct {
 	SensorCurrent []float64
 }
 
-// Step advances the pipeline one timestep with the workload run at the
-// given frequency. The voltage is looked up from the pipeline's VF curve.
-//
-// Step is the materializing compatibility wrapper around StepInto: it
-// allocates fresh sensor slices for every timestep, so callers may retain
-// the returned StepResult indefinitely. Hot streaming paths (the
-// internal/trace drive loop) use StepInto with caller-owned scratch
-// instead and pay no per-step allocation.
-func (p *Pipeline) Step(run *workload.Run, fGHz float64) (StepResult, error) {
-	var res StepResult // nil slices: StepInto allocates fresh ones
-	if err := p.StepInto(run, fGHz, &res); err != nil {
-		return StepResult{}, err
-	}
-	return res, nil
-}
-
 // resize returns s with length n, reusing its backing array when the
 // capacity allows and allocating otherwise.
 func resize(s []float64, n int) []float64 {
@@ -465,14 +449,16 @@ func resize(s []float64, n int) []float64 {
 	return make([]float64, n)
 }
 
-// StepInto advances the pipeline one timestep and writes the telemetry
-// into *res, reusing res.SensorDelayed and res.SensorCurrent as scratch
-// when their capacity suffices (they are (re)sliced to the sensor count,
-// allocated only if too small). Passing the same *res across steps makes
-// the step loop allocation-free; the slice contents are overwritten on
-// the next call, so callers that retain readings must copy them (or use
-// Step, which always allocates). On error *res is left unspecified and
-// the pipeline state is unchanged.
+// StepInto advances the pipeline one timestep with the workload run at
+// the given frequency (the voltage is looked up from the pipeline's VF
+// curve) and writes the telemetry into *res, reusing res.SensorDelayed
+// and res.SensorCurrent as scratch when their capacity suffices (they
+// are (re)sliced to the sensor count, allocated only if too small).
+// Passing the same *res across steps makes the step loop
+// allocation-free; the slice contents are overwritten on the next call,
+// so callers that retain readings must copy them or pass a fresh
+// StepResult each step. On error *res is left unspecified and the
+// pipeline state is unchanged.
 func (p *Pipeline) StepInto(run *workload.Run, fGHz float64, res *StepResult) error {
 	volt := p.vf.VoltageFor(fGHz)
 	params := run.ParamsAt(p.time)
@@ -604,40 +590,4 @@ func (p *Pipeline) solveWarmStart(w *workload.Workload, fGHz float64) error {
 		return fmt.Errorf("sim: warm-start steady state: %w", err)
 	}
 	return nil
-}
-
-// RunStatic warm-starts the pipeline and runs the named workload at a
-// fixed frequency for the given number of timesteps, returning the trace.
-func (p *Pipeline) RunStatic(name string, fGHz float64, steps int) ([]StepResult, error) {
-	w, err := p.wset.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	if steps <= 0 {
-		return nil, fmt.Errorf("sim: non-positive step count")
-	}
-	if err := p.WarmStart(w, fGHz); err != nil {
-		return nil, err
-	}
-	run := w.NewRun(p.cfg.Seed)
-	trace := make([]StepResult, 0, steps)
-	for i := 0; i < steps; i++ {
-		r, err := p.Step(run, fGHz)
-		if err != nil {
-			return nil, err
-		}
-		trace = append(trace, r)
-	}
-	return trace, nil
-}
-
-// PeakSeverity returns the maximum ground-truth severity over a trace.
-func PeakSeverity(trace []StepResult) float64 {
-	peak := 0.0
-	for i := range trace {
-		if trace[i].Severity.Max > peak {
-			peak = trace[i].Severity.Max
-		}
-	}
-	return peak
 }

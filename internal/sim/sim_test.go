@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"github.com/hotgauge/boreas/internal/hotspot"
 	"github.com/hotgauge/boreas/internal/workload"
 )
 
@@ -26,6 +25,43 @@ func newPipeline(t *testing.T) *Pipeline {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// stepFresh advances p one timestep into a fresh StepResult, so the
+// caller may retain it.
+func stepFresh(p *Pipeline, run *workload.Run, fGHz float64) (StepResult, error) {
+	var r StepResult
+	err := p.StepInto(run, fGHz, &r)
+	return r, err
+}
+
+// runStatic warm-starts p and runs the named workload at a fixed
+// frequency, materialising every step.
+func runStatic(p *Pipeline, name string, fGHz float64, steps int) ([]StepResult, error) {
+	w, err := p.Workloads().ByName(name)
+	if err != nil {
+		return nil, err
+	}
+	if err := p.WarmStart(w, fGHz); err != nil {
+		return nil, err
+	}
+	run := w.NewRun(p.Config().Seed)
+	tr := make([]StepResult, steps)
+	for i := range tr {
+		if err := p.StepInto(run, fGHz, &tr[i]); err != nil {
+			return nil, err
+		}
+	}
+	return tr, nil
+}
+
+// peakSeverity returns the maximum ground-truth severity over a trace.
+func peakSeverity(tr []StepResult) float64 {
+	peak := 0.0
+	for i := range tr {
+		peak = math.Max(peak, tr[i].Severity.Max)
+	}
+	return peak
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -69,7 +105,7 @@ func TestStepAdvancesTime(t *testing.T) {
 	w, _ := workload.DefaultSet().ByName("gamess")
 	run := w.NewRun(1)
 	for i := 1; i <= 5; i++ {
-		r, err := p.Step(run, 3.75)
+		r, err := stepFresh(p, run, 3.75)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +123,7 @@ func TestStepResultSane(t *testing.T) {
 	var r StepResult
 	var err error
 	for i := 0; i < 20; i++ {
-		r, err = p.Step(run, 4.0)
+		r, err = stepFresh(p, run, 4.0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,40 +145,19 @@ func TestStepResultSane(t *testing.T) {
 	}
 }
 
-func TestRunStaticTraceLength(t *testing.T) {
-	p := newPipeline(t)
-	tr, err := p.RunStatic("gamess", 3.0, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr) != 25 {
-		t.Fatalf("trace length %d, want 25", len(tr))
-	}
-}
-
-func TestRunStaticUnknownWorkload(t *testing.T) {
-	p := newPipeline(t)
-	if _, err := p.RunStatic("quake", 3.0, 10); err == nil {
-		t.Fatal("expected unknown-workload error")
-	}
-	if _, err := p.RunStatic("gamess", 3.0, 0); err == nil {
-		t.Fatal("expected step-count error")
-	}
-}
-
 func TestHigherFrequencyHigherSeverity(t *testing.T) {
 	p := newPipeline(t)
-	lo, err := p.RunStatic("calculix", 2.5, 40)
+	lo, err := runStatic(p, "calculix", 2.5, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hi, err := p.RunStatic("calculix", 4.75, 40)
+	hi, err := runStatic(p, "calculix", 4.75, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if PeakSeverity(hi) <= PeakSeverity(lo) {
+	if peakSeverity(hi) <= peakSeverity(lo) {
 		t.Fatalf("severity must grow with frequency: %v vs %v",
-			PeakSeverity(hi), PeakSeverity(lo))
+			peakSeverity(hi), peakSeverity(lo))
 	}
 }
 
@@ -150,28 +165,28 @@ func TestWorkloadDiversity(t *testing.T) {
 	// A hot FP workload and a memory-bound workload must separate clearly
 	// at the same frequency - the paper's application-dependence premise.
 	p := newPipeline(t)
-	hot, err := p.RunStatic("calculix", 4.25, 40)
+	hot, err := runStatic(p, "calculix", 4.25, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cool, err := p.RunStatic("omnetpp", 4.25, 40)
+	cool, err := runStatic(p, "omnetpp", 4.25, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if PeakSeverity(hot) < PeakSeverity(cool)+0.15 {
+	if peakSeverity(hot) < peakSeverity(cool)+0.15 {
 		t.Fatalf("calculix (%v) should be far more severe than omnetpp (%v)",
-			PeakSeverity(hot), PeakSeverity(cool))
+			peakSeverity(hot), peakSeverity(cool))
 	}
 }
 
 func TestDeterministicTraces(t *testing.T) {
 	a := newPipeline(t)
 	b := newPipeline(t)
-	ta, err := a.RunStatic("gromacs", 4.0, 15)
+	ta, err := runStatic(a, "gromacs", 4.0, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := b.RunStatic("gromacs", 4.0, 15)
+	tb, err := runStatic(b, "gromacs", 4.0, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +247,7 @@ func TestSensorDelayVisibleInSpikyWorkload(t *testing.T) {
 	run := w.NewRun(1)
 	lagged := 0
 	for i := 0; i < 40; i++ {
-		r, err := p.Step(run, 4.5)
+		r, err := stepFresh(p, run, 4.5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,22 +258,4 @@ func TestSensorDelayVisibleInSpikyWorkload(t *testing.T) {
 	if lagged == 0 {
 		t.Fatal("delayed sensor never diverged from current reading on a spiky workload")
 	}
-}
-
-func TestPeakSeverityHelper(t *testing.T) {
-	trace := []StepResult{
-		{Severity: hotspotSev(0.3)},
-		{Severity: hotspotSev(0.9)},
-		{Severity: hotspotSev(0.5)},
-	}
-	if PeakSeverity(trace) != 0.9 {
-		t.Fatal("PeakSeverity wrong")
-	}
-	if PeakSeverity(nil) != 0 {
-		t.Fatal("PeakSeverity of empty trace should be 0")
-	}
-}
-
-func hotspotSev(max float64) hotspot.ChipSeverity {
-	return hotspot.ChipSeverity{Max: max}
 }

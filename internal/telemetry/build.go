@@ -153,21 +153,3 @@ func BuildContext(ctx context.Context, cfg BuildConfig) (*Dataset, error) {
 	}
 	return ds, nil
 }
-
-// AppendTrace converts one materialized simulation trace into labelled
-// instances and appends them to ds. Instances within Horizon of the
-// trace end are dropped (their labels would be truncated). It is the
-// compatibility wrapper over DatasetAppender for callers that already
-// hold a []sim.StepResult; streaming builds feed the appender from
-// trace.Drive directly.
-func AppendTrace(ds *Dataset, steps []sim.StepResult, workload string, horizon, sensorIndex int) error {
-	ap, err := NewDatasetAppender(ds, workload, horizon, sensorIndex)
-	if err != nil {
-		return err
-	}
-	ap.Begin(trace.Meta{Steps: len(steps)})
-	for t := range steps {
-		ap.Observe(t, &steps[t])
-	}
-	return ap.End()
-}

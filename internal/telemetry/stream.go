@@ -8,15 +8,13 @@ import (
 )
 
 // DatasetAppender is a trace.Observer that converts a step stream into
-// labelled dataset rows online, replacing the post-hoc AppendTrace pass
-// over a materialized trace. The labelling rule is unchanged: the row of
-// step t carries features extracted at t and the maximum ground-truth
-// severity over (t, t+Horizon]; rows whose horizon would run past the
-// end of the run are never created. It holds at most Horizon rows in
-// flight, so a build task's memory is O(Horizon), not O(steps).
+// labelled dataset rows online. The row of step t carries features
+// extracted at t and the maximum ground-truth severity over
+// (t, t+Horizon]; rows whose horizon would run past the end of the run
+// are never created. It holds at most Horizon rows in flight, so a build
+// task's memory is O(Horizon), not O(steps).
 //
-// Row emission order is ascending t — byte-identical to AppendTrace on
-// the equivalent materialized trace.
+// Row emission order is ascending t.
 type DatasetAppender struct {
 	// GroupOf, when non-nil, restricts rows to those whose entire label
 	// horizon stays within one group: a row for step t is created only

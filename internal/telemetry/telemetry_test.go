@@ -9,6 +9,7 @@ import (
 
 	"github.com/hotgauge/boreas/internal/arch"
 	"github.com/hotgauge/boreas/internal/sim"
+	"github.com/hotgauge/boreas/internal/trace"
 )
 
 func TestSeventyEightFeatures(t *testing.T) {
@@ -269,14 +270,22 @@ func TestBuildValidate(t *testing.T) {
 func TestLabelsAreFutureMax(t *testing.T) {
 	// Build a tiny synthetic trace with a known severity ramp and verify
 	// the labels are the forward-window maxima.
-	trace := make([]sim.StepResult, 20)
-	for i := range trace {
-		trace[i].Severity.Max = float64(i) / 20
-		trace[i].SensorDelayed = []float64{50}
-		trace[i].SensorCurrent = []float64{50}
+	steps := make([]sim.StepResult, 20)
+	for i := range steps {
+		steps[i].Severity.Max = float64(i) / 20
+		steps[i].SensorDelayed = []float64{50}
+		steps[i].SensorCurrent = []float64{50}
 	}
 	ds := NewDataset(FullFeatureNames())
-	if err := AppendTrace(ds, trace, "w", 5, 0); err != nil {
+	ap, err := NewDatasetAppender(ds, "w", 5, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ap.Begin(trace.Meta{Steps: len(steps)})
+	for i := range steps {
+		ap.Observe(i, &steps[i])
+	}
+	if err := ap.End(); err != nil {
 		t.Fatal(err)
 	}
 	// For a monotone ramp, label of instance t is severity at t+5.

@@ -4,14 +4,13 @@
 // columnar struct-of-arrays Trace buffer for consumers that do want the
 // whole run materialized.
 //
-// Before this layer, every consumer — static sweeps, closed-loop runs,
-// dataset builds, experiment grids — materialized a full []sim.StepResult
-// even when it only needed a peak severity or a handful of dataset rows,
-// and Pipeline.Step allocated two fresh sensor slices per 80 us timestep.
-// Drive instead calls Pipeline.StepInto with one reused scratch
-// StepResult, so a streaming run performs no per-step allocation;
-// reductions such as PeakReducer run in O(1) memory regardless of trace
-// length, which compounds across parallel campaign workers.
+// Static sweeps, dataset builds and experiment grids stream rather than
+// materialize a []sim.StepResult: Drive calls Pipeline.StepInto with one
+// reused scratch StepResult, so a streaming run performs no per-step
+// allocation, and reductions such as PeakReducer run in O(1) memory
+// regardless of trace length, which compounds across parallel campaign
+// workers. (Closed-loop runs step the pipeline the same way through
+// engine.ChipStream.)
 //
 // Observer contract: Observe receives a pointer to the drive loop's
 // scratch StepResult. The struct and its sensor slices are only valid for
@@ -146,12 +145,9 @@ func Drive(p *sim.Pipeline, run *workload.Run, freqFn func(step int) float64, st
 	return first
 }
 
-// RunStatic is the streaming equivalent of sim.Pipeline.RunStatic: it
-// warm-starts the pipeline and drives the named workload at a fixed
-// frequency for the given number of timesteps, fanning the telemetry to
-// the observers instead of materializing a []sim.StepResult. It is
-// bit-identical to the materializing path: same warm start, same run
-// seed, same step sequence.
+// RunStatic warm-starts the pipeline and drives the named workload at a
+// fixed frequency for the given number of timesteps, fanning the
+// telemetry to the observers.
 func RunStatic(p *sim.Pipeline, name string, fGHz float64, steps int, obs ...Observer) error {
 	w, err := p.Workloads().ByName(name)
 	if err != nil {
@@ -225,19 +221,7 @@ func (t *Trace) At(step int) sim.StepResult {
 	}
 }
 
-// StepResults materializes the whole trace as the row-oriented
-// []sim.StepResult of the compatibility path. Sensor slices are views
-// into the trace (see At).
-func (t *Trace) StepResults() []sim.StepResult {
-	out := make([]sim.StepResult, t.Len())
-	for i := range out {
-		out[i] = t.At(i)
-	}
-	return out
-}
-
-// PeakSeverity returns the maximum ground-truth severity over the trace,
-// matching sim.PeakSeverity on the equivalent []StepResult.
+// PeakSeverity returns the maximum ground-truth severity over the trace.
 func (t *Trace) PeakSeverity() float64 {
 	peak := 0.0
 	for _, s := range t.Severities {

@@ -11,9 +11,38 @@ import (
 	"github.com/hotgauge/boreas/internal/workload"
 )
 
+// materialize is the independent reference for a static run: warm start,
+// then one StepInto per step into a fresh StepResult, retaining them all.
+func materialize(p *sim.Pipeline, name string, fGHz float64, steps int) ([]sim.StepResult, error) {
+	w, err := p.Workloads().ByName(name)
+	if err != nil {
+		return nil, err
+	}
+	if err := p.WarmStart(w, fGHz); err != nil {
+		return nil, err
+	}
+	run := w.NewRun(p.Config().Seed)
+	tr := make([]sim.StepResult, steps)
+	for i := range tr {
+		if err := p.StepInto(run, fGHz, &tr[i]); err != nil {
+			return nil, err
+		}
+	}
+	return tr, nil
+}
+
+// peakSeverity returns the maximum ground-truth severity over a trace.
+func peakSeverity(tr []sim.StepResult) float64 {
+	peak := 0.0
+	for i := range tr {
+		peak = math.Max(peak, tr[i].Severity.Max)
+	}
+	return peak
+}
+
 // TestRecorderMatchesMaterializedRunStatic is the core golden test of the
-// layer: the streamed Recorder must reproduce the materializing
-// Pipeline.RunStatic bit for bit.
+// layer: the streamed Recorder must reproduce a materialized static run
+// bit for bit.
 func TestRecorderMatchesMaterializedRunStatic(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	cfg.Thermal.NX, cfg.Thermal.NY = 24, 18
@@ -28,7 +57,7 @@ func TestRecorderMatchesMaterializedRunStatic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := p1.RunStatic(name, fGHz, steps)
+	want, err := materialize(p1, name, fGHz, steps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,17 +74,13 @@ func TestRecorderMatchesMaterializedRunStatic(t *testing.T) {
 	if rec.T.Len() != steps {
 		t.Fatalf("recorded %d steps, want %d", rec.T.Len(), steps)
 	}
-	got := rec.T.StepResults()
-	if !reflect.DeepEqual(got, want) {
-		for i := range want {
-			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Fatalf("step %d diverges:\n got %+v\nwant %+v", i, got[i], want[i])
-			}
+	for i := range want {
+		if got := rec.T.At(i); !reflect.DeepEqual(got, want[i]) {
+			t.Fatalf("step %d diverges:\n got %+v\nwant %+v", i, got, want[i])
 		}
-		t.Fatal("traces differ")
 	}
-	if got, want := rec.T.PeakSeverity(), sim.PeakSeverity(want); got != want {
-		t.Fatalf("Trace.PeakSeverity = %v, sim.PeakSeverity = %v", got, want)
+	if got, want := rec.T.PeakSeverity(), peakSeverity(want); got != want {
+		t.Fatalf("Trace.PeakSeverity = %v, reference = %v", got, want)
 	}
 	if rec.T.Workload != name {
 		t.Fatalf("trace workload %q, want %q", rec.T.Workload, name)
@@ -74,7 +99,7 @@ func TestPeakReducerMatchesMaterialized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := p1.RunStatic("gamess", 4.5, steps)
+	ref, err := materialize(p1, "gamess", 4.5, steps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +116,7 @@ func TestPeakReducerMatchesMaterialized(t *testing.T) {
 	if pr.Steps != steps {
 		t.Fatalf("reducer saw %d steps, want %d", pr.Steps, steps)
 	}
-	if want := sim.PeakSeverity(ref); pr.PeakSeverity != want {
+	if want := peakSeverity(ref); pr.PeakSeverity != want {
 		t.Fatalf("PeakSeverity %v, want %v", pr.PeakSeverity, want)
 	}
 	wantTemp, wantMLTD, wantEnergy, wantInc := 0.0, 0.0, 0.0, 0
@@ -227,6 +252,43 @@ func TestDriveRejectsBadSteps(t *testing.T) {
 	}
 }
 
+// TestRunStaticTraceLength: a static run executes exactly the requested
+// number of steps.
+func TestRunStaticTraceLength(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	cfg.Thermal.NX, cfg.Thermal.NY = 24, 18
+	cfg.WarmStartProbeSteps = 5
+	p, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec trace.Recorder
+	if err := trace.RunStatic(p, "gamess", 3.0, 25, &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.T.Len() != 25 {
+		t.Fatalf("trace length %d, want 25", rec.T.Len())
+	}
+}
+
+// TestRunStaticUnknownWorkload: an unknown workload name and a zero step
+// count are errors.
+func TestRunStaticUnknownWorkload(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	cfg.Thermal.NX, cfg.Thermal.NY = 24, 18
+	cfg.WarmStartProbeSteps = 5
+	p, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.RunStatic(p, "quake", 3.0, 10); err == nil {
+		t.Fatal("expected unknown-workload error")
+	}
+	if err := trace.RunStatic(p, "gamess", 3.0, 0); err == nil {
+		t.Fatal("expected step-count error")
+	}
+}
+
 // TestDriveMetaAndFreqFn: Meta carries the run coordinates and freqFn is
 // consulted per step (a frequency schedule realized by the drive loop).
 func TestDriveMetaAndFreqFn(t *testing.T) {
@@ -313,5 +375,31 @@ func TestTraceViews(t *testing.T) {
 				t.Fatalf("At(%d) current sensor %d mismatch", i, s)
 			}
 		}
+	}
+}
+
+// TestRunStaticAllocsFlat pins the streaming path's O(1) allocation
+// claim: a static run feeding a PeakReducer allocates the same per run
+// at 12 and at 96 steps, so no step allocates. The pipeline is reused,
+// so after AllocsPerRun's warm-up run every warm start is a memo hit.
+func TestRunStaticAllocsFlat(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	cfg.Thermal.NX, cfg.Thermal.NY = 24, 18
+	cfg.WarmStartProbeSteps = 5
+	p, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(steps int) float64 {
+		var pr trace.PeakReducer
+		return testing.AllocsPerRun(3, func() {
+			if err := trace.RunStatic(p, "gromacs", 4.25, steps, &pr); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := allocs(12), allocs(96)
+	if short != long {
+		t.Fatalf("streamed run allocates %v at 12 steps but %v at 96", short, long)
 	}
 }
