@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -156,5 +157,46 @@ func TestCVResultStdNonNegativeAndFinite(t *testing.T) {
 	}
 	if res.StdMSE < 0 || math.IsNaN(res.StdMSE) {
 		t.Fatalf("bad std %v", res.StdMSE)
+	}
+}
+
+// TestTrainRejectsNonFinite: a NaN or ±Inf anywhere in the training
+// features or labels is an error wrapping ErrNonFinite that names the row
+// (and the feature), for both split-search methods. Before this screen a
+// NaN label silently made every leaf NaN and a NaN feature broke the
+// exact trainer's sort.
+func TestTrainRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name      string
+		row, feat int // feat -1: the label
+		v         float64
+		want      string
+	}{
+		{"nan-feature", 3, 1, nan, "row 3 feature 1 (f1) = NaN"},
+		{"plus-inf-feature", 0, 2, inf, "row 0 feature 2 (f2) = +Inf"},
+		{"minus-inf-feature", 49, 0, -inf, "row 49 feature 0 (f0) = -Inf"},
+		{"nan-label", 7, -1, nan, "row 7 label = NaN"},
+		{"plus-inf-label", 0, -1, inf, "row 0 label = +Inf"},
+		{"minus-inf-label", 49, -1, -inf, "row 49 label = -Inf"},
+	} {
+		for _, method := range []string{MethodExact, MethodHist} {
+			t.Run(tc.name+"/"+method, func(t *testing.T) {
+				x, y := synth(31, 50)
+				if tc.feat < 0 {
+					y[tc.row] = tc.v
+				} else {
+					x[tc.row][tc.feat] = tc.v
+				}
+				p := Params{NumTrees: 2, MaxDepth: 2, LearningRate: 0.3, Lambda: 1, MinChildWeight: 1, Method: method}
+				m, err := Train(x, y, names3, p)
+				if m != nil || !errors.Is(err, ErrNonFinite) {
+					t.Fatalf("Train = %v, %v; want an ErrNonFinite error", m, err)
+				}
+				if !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("error %q does not name %q", err, tc.want)
+				}
+			})
+		}
 	}
 }

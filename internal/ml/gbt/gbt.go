@@ -214,8 +214,14 @@ func (m *Model) Predict(x []float64) float64 {
 }
 
 // ErrNonFinite is wrapped by PredictChecked when a feature value is NaN
-// or ±Inf. Detect it with errors.Is.
+// or ±Inf, and by Train and its variants when a training feature or label
+// is. Detect it with errors.Is.
 var ErrNonFinite = errors.New("gbt: non-finite feature value")
+
+// finite reports whether v is neither NaN nor ±Inf.
+func finite(v float64) bool {
+	return !math.IsNaN(v) && !math.IsInf(v, 0)
+}
 
 // PredictChecked is Predict with input screening: it rejects rows of the
 // wrong width and rows containing NaN or ±Inf instead of silently
@@ -227,7 +233,7 @@ func (m *Model) PredictChecked(x []float64) (float64, error) {
 		return 0, fmt.Errorf("gbt: row has %d features, model wants %d", len(x), len(m.FeatureNames))
 	}
 	for i, v := range x {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+		if !finite(v) {
 			return 0, fmt.Errorf("%w: feature %d (%s) = %v", ErrNonFinite, i, m.FeatureNames[i], v)
 		}
 	}
@@ -281,27 +287,52 @@ type treeBuilder interface {
 	buildTree(ctx context.Context) Tree
 }
 
-// trainer holds the level-wise exact-greedy split machinery.
+// trainer holds the level-wise exact-greedy split machinery. Each
+// feature column is sorted once, in the column-block layout of XGBoost
+// (Chen & Guestrin, KDD 2016), and carries its dense value ranks, so a
+// scan streams one int32 array and compares ranks instead of gathering x
+// rows. The live nodes of a level are found through slot, a dense table
+// indexed by node id. Per instance and feature the layout costs 4 bytes;
+// per-level scratch scales with the active nodes and features, never
+// with the instance count.
 type trainer struct {
-	p        Params
-	x        [][]float64
-	grad     []float64 // residual gradients (pred - y), loss-weighted
-	hess     []float64 // per-instance hessians, loss-weighted
-	sorted   [][]int32 // per feature: instance indices sorted by value
-	nodeOf   []int32   // current tree-node id of each instance (-1: settled in a leaf)
+	p    Params
+	x    [][]float64
+	grad []float64 // residual gradients (pred - y), loss-weighted
+	hess []float64 // per-instance hessians, loss-weighted
+	// sorted[f] lists the instance indices in order of feature f's value.
+	// An entry whose value is greater than the previous entry's has its
+	// sign bit set (a rise), so the dense rank of an entry's value, with
+	// equal values (±0 included) sharing a rank, is the number of rises
+	// up to it. The rank column thus costs one bit per entry.
+	sorted [][]int32
+	// nodeOf is the current tree-node id of each instance. An instance
+	// that settles in a leaf keeps the leaf's id, whose slot stays -1.
+	nodeOf []int32
+	// slot[id] is node id's position in the current level's active list,
+	// or -1 when the node is not being split at this level. Sized for a
+	// complete tree of depth MaxDepth.
+	slot     []int32
 	nFeature int
 }
 
-// newExactTrainer presorts every feature column and returns the exact
-// greedy split searcher. The per-feature presort is independent per
-// feature; it fans across the pool. Each slot is written only by its own
-// task, so the result is identical at any worker count. A cancelled
-// context leaves some columns unsorted; the boosting loop re-checks the
-// context before the builder is ever used.
+// rise marks a sorted entry whose value is greater than its predecessor's.
+const rise = math.MinInt32
+
+// newExactTrainer presorts every feature column, marks its rises and
+// returns the exact greedy split searcher. The per-feature presort is
+// independent per feature; it fans across the pool. Each slot is written
+// only by its own task, so the result is identical at any worker count.
+// A cancelled context leaves some columns unsorted; the boosting loop
+// re-checks the context before the builder is ever used.
 func newExactTrainer(ctx context.Context, x [][]float64, grad, hess []float64, p Params) *trainer {
 	n, d := len(x), len(x[0])
 	tr := &trainer{p: p, x: x, grad: grad, hess: hess, nFeature: d}
 	tr.nodeOf = make([]int32, n)
+	tr.slot = make([]int32, 1<<(p.MaxDepth+1))
+	for i := range tr.slot {
+		tr.slot[i] = -1
+	}
 	tr.sorted = make([][]int32, d)
 	_ = runner.ForEach(ctx, p.Workers, d, func(_ context.Context, f int) error {
 		idx := make([]int32, n)
@@ -309,6 +340,12 @@ func newExactTrainer(ctx context.Context, x [][]float64, grad, hess []float64, p
 			idx[i] = int32(i)
 		}
 		sort.Slice(idx, func(a, b int) bool { return x[idx[a]][f] < x[idx[b]][f] })
+		// Back to front, so the predecessor is still unmarked.
+		for k := n - 1; k > 0; k-- {
+			if x[idx[k]][f] > x[idx[k-1]][f] {
+				idx[k] |= rise
+			}
+		}
 		tr.sorted[f] = idx
 		return nil
 	})
@@ -341,7 +378,10 @@ const defaultSnapshotEvery = 32
 
 // Train fits a boosted ensemble to x (n rows, d features) and y.
 // featureNames must have d entries and are retained for importance
-// reporting and serialisation.
+// reporting and serialisation. Every feature value and label must be
+// finite: a NaN or ±Inf is rejected with an error wrapping ErrNonFinite
+// that names its row (and feature), since one NaN label would make every
+// leaf NaN and a NaN feature has no place in a sorted column.
 func Train(x [][]float64, y []float64, featureNames []string, p Params) (*Model, error) {
 	return TrainContext(context.Background(), x, y, featureNames, p)
 }
@@ -376,6 +416,16 @@ func TrainContextHooks(ctx context.Context, x [][]float64, y []float64, featureN
 	for i, row := range x {
 		if len(row) != d {
 			return nil, fmt.Errorf("gbt: row %d has %d features, want %d", i, len(row), d)
+		}
+		for f, v := range row {
+			if !finite(v) {
+				return nil, fmt.Errorf("%w: row %d feature %d (%s) = %v", ErrNonFinite, i, f, featureNames[f], v)
+			}
+		}
+	}
+	for i, v := range y {
+		if !finite(v) {
+			return nil, fmt.Errorf("%w: row %d label = %v", ErrNonFinite, i, v)
 		}
 	}
 
@@ -502,7 +552,6 @@ type splitChoice struct {
 // buildTree grows one tree level-wise with exact greedy splits.
 func (tr *trainer) buildTree(ctx context.Context) Tree {
 	p := tr.p
-	n := len(tr.x)
 
 	// All instances start at the root (node 0).
 	for i := range tr.nodeOf {
@@ -510,25 +559,13 @@ func (tr *trainer) buildTree(ctx context.Context) Tree {
 	}
 	tree := Tree{Nodes: []Node{{Feature: -1}}}
 
-	// active maps node id -> position in the per-level arrays.
+	// active lists the node ids being split at this level; slot maps
+	// each back to its position in the per-level arrays.
 	active := []int32{0}
 
 	for depth := 0; depth < p.MaxDepth && len(active) > 0; depth++ {
-		pos := make(map[int32]int, len(active))
-		for i, id := range active {
-			pos[id] = i
-		}
-		k := len(active)
-
-		// Node aggregates.
-		gTot := make([]float64, k)
-		hTot := make([]float64, k)
-		for i := 0; i < n; i++ {
-			if j, ok := pos[tr.nodeOf[i]]; ok {
-				gTot[j] += tr.grad[i]
-				hTot[j] += tr.hess[i]
-			}
-		}
+		tr.setSlots(active)
+		gTot, hTot := tr.nodeSums(len(active))
 
 		// Exact greedy split search, fanned across features: each feature
 		// scan is independent (private accumulators over the shared
@@ -538,11 +575,11 @@ func (tr *trainer) buildTree(ctx context.Context) Tree {
 		// splits are bit-identical at any worker count.
 		featBest := make([][]splitChoice, tr.nFeature)
 		_ = runner.ForEach(ctx, p.Workers, tr.nFeature, func(_ context.Context, f int) error {
-			featBest[f] = tr.scanFeature(f, pos, gTot, hTot)
+			featBest[f] = tr.scanFeature(f, gTot, hTot)
 			return nil
 		})
 
-		best := make([]splitChoice, k)
+		best := make([]splitChoice, len(active))
 		for i := range best {
 			best[i].gain = math.Inf(-1)
 			best[i].feature = -1
@@ -575,17 +612,15 @@ func (tr *trainer) buildTree(ctx context.Context) Tree {
 			nextActive = append(nextActive, left, left+1)
 		}
 
-		// Reassign instances of split nodes to their children; settle the
-		// rest as leaves.
-		for i := 0; i < n; i++ {
-			id := tr.nodeOf[i]
-			j, ok := pos[id]
-			if !ok {
+		// Reassign instances of split nodes to their children. Instances
+		// of new leaves keep the leaf's id and so drop out of every later
+		// pass once its slot is cleared.
+		for i, id := range tr.nodeOf {
+			if tr.slot[id] < 0 {
 				continue
 			}
 			node := &tree.Nodes[id]
 			if node.Feature < 0 {
-				tr.nodeOf[i] = -1
 				continue
 			}
 			if tr.x[i][node.Feature] < node.Threshold {
@@ -593,36 +628,65 @@ func (tr *trainer) buildTree(ctx context.Context) Tree {
 			} else {
 				tr.nodeOf[i] = node.Right
 			}
-			_ = j
 		}
+		tr.clearSlots(active)
 		active = nextActive
 	}
 
 	// Any still-active nodes at max depth become leaves.
 	if len(active) > 0 {
-		g := make(map[int32]float64, len(active))
-		h := make(map[int32]float64, len(active))
-		for i := 0; i < n; i++ {
-			if id := tr.nodeOf[i]; id >= 0 {
-				g[id] += tr.grad[i]
-				h[id] += tr.hess[i]
-			}
-		}
-		for _, id := range active {
+		tr.setSlots(active)
+		g, h := tr.nodeSums(len(active))
+		for i, id := range active {
 			node := &tree.Nodes[id]
 			node.Feature = -1
-			node.Value = -tr.grad2leaf(g[id], h[id])
+			node.Value = -tr.grad2leaf(g[i], h[i])
 		}
+		tr.clearSlots(active)
 	}
 	return tree
+}
+
+// setSlots points the slot of each active node at its list position.
+func (tr *trainer) setSlots(active []int32) {
+	for i, id := range active {
+		tr.slot[id] = int32(i)
+	}
+}
+
+// clearSlots marks the given nodes inactive again.
+func (tr *trainer) clearSlots(active []int32) {
+	for _, id := range active {
+		tr.slot[id] = -1
+	}
+}
+
+// nodeSums returns the gradient and hessian sums of the k active nodes,
+// each accumulated in instance order.
+func (tr *trainer) nodeSums(k int) (g, h []float64) {
+	g = make([]float64, k)
+	h = make([]float64, k)
+	for i, id := range tr.nodeOf {
+		if j := tr.slot[id]; j >= 0 {
+			g[j] += tr.grad[i]
+			h[j] += tr.hess[i]
+		}
+	}
+	return g, h
 }
 
 // scanFeature runs the exact greedy split scan of one feature over the
 // active nodes of the current level and returns the best candidate per
 // node position (feature == -1 where the feature offers no valid split).
-// It reads only shared immutable state plus its own scratch, so scans of
+// It walks the feature's sorted entries, counting rises into the current
+// value's dense rank; a boundary between two instances of a node is a
+// candidate when the later one's rank is greater, i.e. its value is.
+// lastRank starts at MaxInt32, so a node's first instance is never a
+// candidate, even when MinChildWeight 0 would admit an empty left child.
+// Only an improving candidate reads x, for its threshold. The scan reads
+// only shared immutable state plus its own scratch, so scans of
 // different features can run concurrently.
-func (tr *trainer) scanFeature(f int, pos map[int32]int, gTot, hTot []float64) []splitChoice {
+func (tr *trainer) scanFeature(f int, gTot, hTot []float64) []splitChoice {
 	p := tr.p
 	k := len(gTot)
 	best := make([]splitChoice, k)
@@ -630,31 +694,43 @@ func (tr *trainer) scanFeature(f int, pos map[int32]int, gTot, hTot []float64) [
 		best[i].gain = math.Inf(-1)
 		best[i].feature = -1
 	}
-	gl := make([]float64, k)
-	hl := make([]float64, k)
-	lastVal := make([]float64, k)
-	started := make([]bool, k)
 	score := func(g, h float64) float64 {
 		return g * g / (h + p.Lambda)
 	}
+	acc := make([]scanAcc, k)
+	for j := range acc {
+		acc[j] = scanAcc{gTot: gTot[j], hTot: hTot[j], parent: score(gTot[j], hTot[j]), lastRank: math.MaxInt32}
+	}
+	rank := int32(0)
 	for _, ii := range tr.sorted[f] {
-		j, ok := pos[tr.nodeOf[ii]]
-		if !ok {
+		if ii&rise != 0 {
+			rank++
+			ii &^= rise
+		}
+		j := tr.slot[tr.nodeOf[ii]]
+		if j < 0 {
 			continue
 		}
-		v := tr.x[ii][f]
-		if started[j] && v > lastVal[j] && hl[j] >= p.MinChildWeight && hTot[j]-hl[j] >= p.MinChildWeight {
-			gain := 0.5*(score(gl[j], hl[j])+score(gTot[j]-gl[j], hTot[j]-hl[j])-score(gTot[j], hTot[j])) - p.Gamma
+		a := &acc[j]
+		if rank > a.lastRank && a.hl >= p.MinChildWeight && a.hTot-a.hl >= p.MinChildWeight {
+			gain := 0.5*(score(a.gl, a.hl)+score(a.gTot-a.gl, a.hTot-a.hl)-a.parent) - p.Gamma
 			if gain > best[j].gain {
-				best[j] = splitChoice{gain: gain, feature: int32(f), thresh: (lastVal[j] + v) / 2}
+				best[j] = splitChoice{gain: gain, feature: int32(f), thresh: (tr.x[a.lastIdx][f] + tr.x[ii][f]) / 2}
 			}
 		}
-		gl[j] += tr.grad[ii]
-		hl[j] += tr.hess[ii]
-		lastVal[j] = v
-		started[j] = true
+		a.gl += tr.grad[ii]
+		a.hl += tr.hess[ii]
+		a.lastRank = rank
+		a.lastIdx = ii
 	}
 	return best
+}
+
+// scanAcc is one active node's running state in a feature scan.
+type scanAcc struct {
+	gTot, hTot, parent float64 // node totals and their score
+	gl, hl             float64 // sums over the node's instances scanned so far
+	lastRank, lastIdx  int32   // rank and index of the last of them
 }
 
 // grad2leaf converts node aggregates into the (shrunk) leaf weight.

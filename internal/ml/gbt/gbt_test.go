@@ -2,7 +2,9 @@ package gbt
 
 import (
 	"bytes"
+	"context"
 	"math"
+	"runtime"
 	"testing"
 
 	"github.com/hotgauge/boreas/internal/rng"
@@ -353,4 +355,45 @@ func TestMSEOf(t *testing.T) {
 	if !math.IsNaN(MSEOf([]float64{1}, []float64{1, 2})) {
 		t.Fatal("length mismatch should return NaN")
 	}
+}
+
+// TestExactBuildTreeAllocsFlat pins the exact trainer's memory layout:
+// the per-instance state (sort order, ranks, node ids) is built once per
+// Train, so growing one tree allocates the same bytes at 1 000 and at
+// 8 000 instances. Per-level scratch may scale with the active nodes and
+// the features, never with the instance count; a per-tree gather of the
+// gradients or values into sorted order fails here.
+func TestExactBuildTreeAllocsFlat(t *testing.T) {
+	treeBytes := func(n int) (alloc uint64, nodes int) {
+		x, y := synth(41, n)
+		grad := make([]float64, n)
+		hess := make([]float64, n)
+		for i := range grad {
+			grad[i], hess[i] = -y[i], 1
+		}
+		p := Params{NumTrees: 1, MaxDepth: 3, LearningRate: 0.3, Lambda: 1, MinChildWeight: 1, Workers: 1}
+		ctx := context.Background()
+		tr := newExactTrainer(ctx, x, grad, hess, p)
+		nodes = len(tr.buildTree(ctx).Nodes)
+		alloc = math.MaxUint64
+		var before, after runtime.MemStats
+		for r := 0; r < 5; r++ {
+			runtime.ReadMemStats(&before)
+			tr.buildTree(ctx)
+			runtime.ReadMemStats(&after)
+			if b := after.TotalAlloc - before.TotalAlloc; b < alloc {
+				alloc = b
+			}
+		}
+		return alloc, nodes
+	}
+	small, smallNodes := treeBytes(1000)
+	large, largeNodes := treeBytes(8000)
+	if smallNodes != 15 || largeNodes != 15 {
+		t.Fatalf("trees have %d and %d nodes, want two complete depth-3 trees", smallNodes, largeNodes)
+	}
+	if small != large {
+		t.Fatalf("buildTree allocates %d B at n=1000 but %d B at n=8000; per-tree memory must not scale with n", small, large)
+	}
+	t.Logf("buildTree allocates %d B per tree at both sizes", small)
 }

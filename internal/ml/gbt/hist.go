@@ -16,8 +16,10 @@ import (
 // uint8 matrix, one byte per instance per feature), then at each level
 // accumulates per-node gradient/hessian histograms over those bins and
 // scans only bin boundaries as split candidates. Costs per level drop
-// from O(n·d) sorted-order walks with per-instance map lookups to a
-// cache-friendly O(n·d) array accumulation plus an O(bins·d) scan, and
+// from O(n·d) sorted-order walks, each step a scattered read of the
+// instance's node and gradient plus a gain evaluation at every rank
+// change, to a cache-friendly O(n·d) array accumulation plus an
+// O(bins·d) scan, and
 // the sibling-subtraction trick halves the accumulation again: of each
 // sibling pair only the child with fewer instances is accumulated
 // directly, the other's histogram is the parent's minus its sibling's.
