@@ -38,12 +38,14 @@ race:
 # 10-second fuzz smokes over the two parsers that eat externally
 # supplied bytes: the model deserializer and the daemon's decide
 # endpoint (which must answer 200 or 400, never panic or 500); and
-# differential fuzzes of the recency-ordered cache against the
-# timestamp-LRU reference it replaced, and of the exact GBT trainer
-# against the map-based trainer it replaced.
+# differential fuzzes of the decide request scanner against the
+# encoding/json decoder it falls back to, of the recency-ordered cache
+# against the timestamp-LRU reference it replaced, and of the exact GBT
+# trainer against the map-based trainer it replaced.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzLoadModel -fuzztime=10s ./internal/ml/gbt
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeDecideRequest -fuzztime=10s ./internal/serve
+	$(GO) test -run='^$$' -fuzz=FuzzDecideDecoderMatchesJSON -fuzztime=10s ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzCacheMatchesStampLRU -fuzztime=10s ./internal/arch
 	$(GO) test -run='^$$' -fuzz=FuzzExactMatchesMapReference -fuzztime=10s ./internal/ml/gbt
 

@@ -7,6 +7,30 @@ import (
 	"testing"
 )
 
+// decideSeeds are the /v1/decide payload seeds both fuzzers start from.
+var decideSeeds = []string{
+	`{"chip":"c0","observation":{"sensor_temp":55}}`,
+	`{"chip":"c0","observation":{"sensor_temp":55,"counters":{"IPC":1.5,"Power":12.5}}}`,
+	`{"batch":[{"chip":"a","observation":{"sensor_temp":50}},{"chip":"b","observation":{"sensor_temp":60}}]}`,
+	`{"batch":[]}`,
+	`{}`,
+	``,
+	`null`,
+	`[]`,
+	`"decide"`,
+	`{"chip":"c0"}`,
+	`{"observation":{"sensor_temp":55}}`,
+	`{"chip":"","observation":{"sensor_temp":55}}`,
+	`{"chip":"c0","observation":{"sensor_temp":1e999}}`,
+	`{"chip":"c0","observation":{"sensor_temp":-1e999}}`,
+	`{"chip":"c0","observation":{"sensor_temp":55},"batch":[{"chip":"b","observation":{"sensor_temp":50}}]}`,
+	`{"chip":"c0","observation":{"sensor_temp":55,"counters":{"NoSuchCounter":1}}}`,
+	`{"chip":"c0","observation":{"sensor_temp":"hot"}}`,
+	`{"batch":[{"chip":"a","observation":null}]}`,
+	`{"batch":` + strings.Repeat(`[`, 100) + strings.Repeat(`]`, 100) + `}`,
+	"\x00\xff\xfe",
+}
+
 // FuzzDecodeDecideRequest drives arbitrary payloads through the full
 // /v1/decide path — decoder, validation, registry, response encoding —
 // end-to-end through the handler. The contract under fuzz: no payload
@@ -14,29 +38,7 @@ import (
 // turns a panic into a 500, so asserting "never 500" also asserts
 // "never panics"); everything is answered 200 or 400.
 func FuzzDecodeDecideRequest(f *testing.F) {
-	seeds := []string{
-		`{"chip":"c0","observation":{"sensor_temp":55}}`,
-		`{"chip":"c0","observation":{"sensor_temp":55,"counters":{"IPC":1.5,"Power":12.5}}}`,
-		`{"batch":[{"chip":"a","observation":{"sensor_temp":50}},{"chip":"b","observation":{"sensor_temp":60}}]}`,
-		`{"batch":[]}`,
-		`{}`,
-		``,
-		`null`,
-		`[]`,
-		`"decide"`,
-		`{"chip":"c0"}`,
-		`{"observation":{"sensor_temp":55}}`,
-		`{"chip":"","observation":{"sensor_temp":55}}`,
-		`{"chip":"c0","observation":{"sensor_temp":1e999}}`,
-		`{"chip":"c0","observation":{"sensor_temp":-1e999}}`,
-		`{"chip":"c0","observation":{"sensor_temp":55},"batch":[{"chip":"b","observation":{"sensor_temp":50}}]}`,
-		`{"chip":"c0","observation":{"sensor_temp":55,"counters":{"NoSuchCounter":1}}}`,
-		`{"chip":"c0","observation":{"sensor_temp":"hot"}}`,
-		`{"batch":[{"chip":"a","observation":null}]}`,
-		`{"batch":` + strings.Repeat(`[`, 100) + strings.Repeat(`]`, 100) + `}`,
-		"\x00\xff\xfe",
-	}
-	for _, s := range seeds {
+	for _, s := range decideSeeds {
 		f.Add([]byte(s))
 	}
 

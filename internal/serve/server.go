@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
 	"net/http/pprof"
 	"reflect"
+	"sync"
 
 	"github.com/hotgauge/boreas/internal/arch"
 	"github.com/hotgauge/boreas/internal/engine"
@@ -14,6 +16,11 @@ import (
 
 // MaxBatch bounds the number of observations in one /v1/decide request.
 const MaxBatch = 4096
+
+// MaxBodyBytes bounds a /v1/decide request body; a longer body is
+// answered 400. A full MaxBatch of items carrying every counter is
+// about 8 MB.
+const MaxBodyBytes = 16 << 20
 
 // MetricsPrefix is the metric-name prefix on /metrics.
 const MetricsPrefix = "boreas"
@@ -76,9 +83,11 @@ type errorResponse struct {
 //
 // Batched requests decide chip by chip in request order; every
 // prediction runs on the session controller's compiled flat-tree
-// kernel, so one HTTP round trip amortises across the whole batch.
-// Malformed or non-finite payloads are rejected with 400 — the handler
-// never panics and never converts bad input into a 500.
+// kernel, so one HTTP round trip amortises across the whole batch. A
+// batch is checked in full before any chip decides, so a rejected
+// batch moves no session. Malformed or non-finite payloads, and bodies
+// over MaxBodyBytes, are rejected with 400 — the handler never panics
+// and never converts bad input into a 500.
 func NewHandler(reg *Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/decide", func(w http.ResponseWriter, r *http.Request) {
@@ -139,10 +148,14 @@ func recoverMiddleware(next http.Handler) http.Handler {
 // handleDecide serves POST /v1/decide.
 func handleDecide(reg *Registry, w http.ResponseWriter, r *http.Request) {
 	reg.metrics.Requests.Add(1)
+	body := bodyPool.Get().(*bytes.Buffer)
+	defer putBody(body)
+	if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, MaxBodyBytes)); err != nil {
+		badRequest(reg, w, fmt.Sprintf("reading request: %v", err))
+		return
+	}
 	var req DecideRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeRequest(body.Bytes(), &req); err != nil {
 		badRequest(reg, w, fmt.Sprintf("decoding request: %v", err))
 		return
 	}
@@ -156,9 +169,15 @@ func handleDecide(reg *Registry, w http.ResponseWriter, r *http.Request) {
 			badRequest(reg, w, fmt.Sprintf("batch of %d exceeds the %d-observation limit", len(req.Batch), MaxBatch))
 			return
 		}
+		for i, item := range req.Batch {
+			if err := checkItem(item.Chip, item.Observation); err != nil {
+				badRequest(reg, w, fmt.Sprintf("batch[%d]: %v", i, err))
+				return
+			}
+		}
 		out := make([]Decision, 0, len(req.Batch))
 		for i, item := range req.Batch {
-			d, err := decideOne(reg, item.Chip, item.Observation)
+			d, err := decide(reg, item.Chip, item.Observation)
 			if err != nil {
 				badRequest(reg, w, fmt.Sprintf("batch[%d]: %v", i, err))
 				return
@@ -167,7 +186,11 @@ func handleDecide(reg *Registry, w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, http.StatusOK, DecideResponse{Decisions: out})
 	case req.Observation != nil:
-		d, err := decideOne(reg, req.Chip, *req.Observation)
+		if err := checkItem(req.Chip, *req.Observation); err != nil {
+			badRequest(reg, w, err.Error())
+			return
+		}
+		d, err := decide(reg, req.Chip, *req.Observation)
 		if err != nil {
 			badRequest(reg, w, err.Error())
 			return
@@ -178,15 +201,34 @@ func handleDecide(reg *Registry, w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// decideOne validates one wire observation and runs it through the
-// registry.
-func decideOne(reg *Registry, chip string, o Observation) (Decision, error) {
+// bodyPool recycles /v1/decide request buffers; putBody drops any
+// buffer grown past maxPooledBody, so one large request cannot pin
+// memory.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBody = 1 << 20
+
+func putBody(b *bytes.Buffer) {
+	if b.Cap() > maxPooledBody {
+		return
+	}
+	b.Reset()
+	bodyPool.Put(b)
+}
+
+// checkItem validates one wire observation before anything decides.
+func checkItem(chip string, o Observation) error {
 	if chip == "" {
-		return Decision{}, fmt.Errorf("empty chip ID")
+		return fmt.Errorf("empty chip ID")
 	}
 	if err := checkFinite(o); err != nil {
-		return Decision{}, fmt.Errorf("chip %s: %w", chip, err)
+		return fmt.Errorf("chip %s: %w", chip, err)
 	}
+	return nil
+}
+
+// decide runs one checked wire observation through the registry.
+func decide(reg *Registry, chip string, o Observation) (Decision, error) {
 	d, err := reg.Decide(chip, engine.Observation{
 		Counters:   o.Counters,
 		SensorTemp: o.SensorTemp,

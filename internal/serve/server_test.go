@@ -116,6 +116,9 @@ func TestHandleDecideBadPayloads(t *testing.T) {
 		{"overflowing counter", `{"chip":"c0","observation":{"sensor_temp":55,"counters":{"TotalCycles":1e999}}}`},
 		{"batch with empty chip", `{"batch":[{"chip":"","observation":{"sensor_temp":55}}]}`},
 		{"batch mixed with single", `{"chip":"c0","observation":{"sensor_temp":55},"batch":[{"chip":"b","observation":{"sensor_temp":55}}]}`},
+		// A batch is checked in full before any chip decides: chip a
+		// must not be created or stepped by a batch that is refused.
+		{"batch with a bad later item", `{"batch":[{"chip":"a","observation":{"sensor_temp":55}},{"chip":"","observation":{"sensor_temp":55}}]}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -151,6 +154,25 @@ func TestHandleDecideOversizeBatch(t *testing.T) {
 	resp, body := postDecide(t, srv, sb.String())
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("oversize batch: status %d, body %.200s", resp.StatusCode, body)
+	}
+}
+
+// TestHandleDecideBodyBound pins MaxBodyBytes: a body one byte over the
+// bound is answered 400 and counted, before any decoding.
+func TestHandleDecideBodyBound(t *testing.T) {
+	reg, srv := newTestServer(t)
+	body := `{"chip":"c0","observation":{"sensor_temp":55}}`
+	body += strings.Repeat(" ", MaxBodyBytes+1-len(body))
+	resp, got := postDecide(t, srv, body)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(got), "request body too large") {
+		t.Fatalf("oversized body: status %d, body %s", resp.StatusCode, got)
+	}
+	if reg.Len() != 0 || reg.Snapshot().BadRequests != 1 {
+		t.Fatalf("oversized body: %d sessions, %d bad requests; want 0 and 1", reg.Len(), reg.Snapshot().BadRequests)
+	}
+	resp, got = postDecide(t, srv, body[:MaxBodyBytes])
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("body at the bound: status %d, body %s", resp.StatusCode, got)
 	}
 }
 
