@@ -40,14 +40,16 @@ race:
 # endpoint (which must answer 200 or 400, never panic or 500); and
 # differential fuzzes of the decide request scanner against the
 # encoding/json decoder it falls back to, of the recency-ordered cache
-# against the timestamp-LRU reference it replaced, and of the exact GBT
-# trainer against the map-based trainer it replaced.
+# against the timestamp-LRU reference it replaced, of the exact GBT
+# trainer against the map-based trainer it replaced, and of the
+# skewed-band steady-state solver against the row-major one it replaced.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzLoadModel -fuzztime=10s ./internal/ml/gbt
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeDecideRequest -fuzztime=10s ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzDecideDecoderMatchesJSON -fuzztime=10s ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzCacheMatchesStampLRU -fuzztime=10s ./internal/arch
 	$(GO) test -run='^$$' -fuzz=FuzzExactMatchesMapReference -fuzztime=10s ./internal/ml/gbt
+	$(GO) test -run='^$$' -fuzz=FuzzSteadyStateMatchesReference -fuzztime=10s ./internal/thermal
 
 # One-iteration smoke of the trace-layer benchmark: reports the
 # streaming path's allocs/op without paying full bench time (the flat
@@ -55,10 +57,12 @@ fuzz-smoke:
 bench-trace-smoke:
 	$(GO) test -run='^$$' -bench=BenchmarkRunStaticTrace -benchtime=1x -benchmem .
 
-# One-iteration smoke of the warm-start benchmark: a cold steady-state
-# solve and a restore from the pipeline family's memo.
+# One-iteration smoke of the warm-start benchmarks: a cold steady-state
+# solve and a restore from the pipeline family's memo, and the bare
+# steady-state solver on the quick and skylake-7nm grids.
 bench-warmstart-smoke:
 	$(GO) test -run='^$$' -bench='^BenchmarkWarmStart$$' -benchtime=1x -benchmem ./internal/sim
+	$(GO) test -run='^$$' -bench='^BenchmarkSteadyState$$' -benchtime=1x -benchmem ./internal/thermal
 
 # One-iteration smoke of the trainer benchmark: exercises both the exact
 # and histogram-binned split searches end to end.

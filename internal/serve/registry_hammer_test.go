@@ -23,8 +23,16 @@ func TestRegistryTTLJumpDuringDecideHammer(t *testing.T) {
 
 	const (
 		goroutines = 8
-		perG       = 400
+		rounds     = 4
+		perRound   = 100
 		chips      = 3
+	)
+	// The sweeper counts the sweeps it starts and finishes, so a round
+	// can wait for one that started after the round's last decide.
+	var (
+		sweepMu           sync.Mutex
+		sweepDone         = sync.NewCond(&sweepMu)
+		started, finished int
 	)
 	stop := make(chan struct{})
 	var sweeps sync.WaitGroup
@@ -36,29 +44,47 @@ func TestRegistryTTLJumpDuringDecideHammer(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				// Every iteration expires every live session mid-traffic.
-				clock.advance(2 * time.Second)
-				r.Sweep()
 			}
+			sweepMu.Lock()
+			started++
+			sweepMu.Unlock()
+			// Every iteration expires every live session mid-traffic.
+			clock.advance(2 * time.Second)
+			r.Sweep()
+			sweepMu.Lock()
+			finished++
+			sweepDone.Broadcast()
+			sweepMu.Unlock()
 		}
 	}()
 
-	var wg sync.WaitGroup
-	errs := make(chan error, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			chip := fmt.Sprintf("chip-%d", g%chips)
-			for i := 0; i < perG; i++ {
-				if _, err := r.Decide(chip, testObservation()); err != nil {
-					errs <- fmt.Errorf("goroutine %d iter %d: %w", g, i, err)
-					return
+	errs := make(chan error, goroutines*rounds)
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				chip := fmt.Sprintf("chip-%d", g%chips)
+				for i := 0; i < perRound; i++ {
+					if _, err := r.Decide(chip, testObservation()); err != nil {
+						errs <- fmt.Errorf("round %d goroutine %d iter %d: %w", round, g, i, err)
+						return
+					}
 				}
-			}
-		}(g)
+			}(g)
+		}
+		wg.Wait()
+		// Checkpoint: sweeps race the decides within a round, but however
+		// the scheduler ran them, a sweep that starts now sees every
+		// session idle past the TTL, evicts it, and the next round
+		// recreates it.
+		sweepMu.Lock()
+		for want := started + 1; finished < want; {
+			sweepDone.Wait()
+		}
+		sweepMu.Unlock()
 	}
-	wg.Wait()
 	close(stop)
 	sweeps.Wait()
 	close(errs)
@@ -67,9 +93,9 @@ func TestRegistryTTLJumpDuringDecideHammer(t *testing.T) {
 	}
 
 	snap := r.Snapshot()
-	if snap.Decisions != goroutines*perG {
+	if snap.Decisions != goroutines*rounds*perRound {
 		t.Fatalf("metrics lost decisions: %d recorded, %d issued (a zombie session swallowed the difference)",
-			snap.Decisions, goroutines*perG)
+			snap.Decisions, goroutines*rounds*perRound)
 	}
 	// Churn actually happened: the TTL jumps must have evicted sessions
 	// mid-run, or the hammer exercised nothing.

@@ -10,12 +10,32 @@
 // A Gauss-Seidel steady-state solver is provided for initialisation and
 // for the static (fixed-frequency) experiment sweeps.
 //
+// The Gauss-Seidel sweep visits the grid in bands of rows, skewed so cell
+// (x-1, y+1) is relaxed right after (x, y). The cells of one anti-diagonal
+// of a band share no neighbour, so their updates are independent chains
+// the CPU overlaps; in row-major order each cell waits for its left
+// neighbour's division. The results are the row-major sweep's bit for
+// bit:
+//   - every cell still reads its left and upper neighbours after, and its
+//     right and lower neighbours before, they are relaxed in the sweep;
+//   - each numerator keeps the row-major term order, and each denominator
+//     is summed in the same order, once per solve rather than per sweep;
+//   - a missing boundary neighbour is a ghost cell holding −0.0, and
+//     g·(−0.0) = −0.0 is the identity of IEEE addition for any finite
+//     conductance g (New rejects non-finite ones), so a boundary sum is
+//     unchanged, −0.0 included;
+//   - the max |Δ| convergence test does not depend on visit order, so the
+//     sweep count and the non-convergence error are the same too. Once
+//     the running maximum reaches tol the sweep cannot converge, and the
+//     rest of it skips the test.
+//
 // Temperatures are degrees Celsius, power is watts, geometry is metres.
 package thermal
 
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Material describes an isotropic solid layer.
@@ -158,6 +178,12 @@ func New(cfg Config) (*Model, error) {
 	m.gTIM = cfg.TIMConductivity * m.cellA / cfg.TIMThickness
 	m.gSink = m.cellA / cfg.SpreaderToSinkResistanceArea
 	m.gAmb = 1 / cfg.SinkToAmbientResistance
+	// SteadyState's ghost cells rely on g·(−0.0) = −0.0, true for finite g.
+	for _, g := range []float64{m.gxDie, m.gyDie, m.gxSpr, m.gySpr, m.gTIM, m.gSink} {
+		if math.IsNaN(g) || math.IsInf(g, 0) {
+			return nil, fmt.Errorf("thermal: config yields a non-finite conductance %g", g)
+		}
+	}
 
 	m.cDie = cfg.Silicon.VolumetricHeatCapacity * m.cellA * cfg.DieThickness
 	m.cSpr = cfg.Spreader.VolumetricHeatCapacity * m.cellA * cfg.SpreaderThickness
@@ -323,13 +349,14 @@ func (m *Model) step(power []float64, dt float64) {
 
 // StepFor advances the model by duration seconds while the die dissipates
 // the given per-cell power map (held constant across the interval). The
-// duration is divided into stable substeps automatically.
+// duration is divided into stable substeps automatically; a NaN, zero,
+// negative or infinite duration is rejected.
 func (m *Model) StepFor(power []float64, duration float64) error {
 	if len(power) != m.n {
 		return fmt.Errorf("thermal: power map has %d cells, want %d", len(power), m.n)
 	}
-	if duration <= 0 {
-		return fmt.Errorf("thermal: non-positive duration %g", duration)
+	if !(duration > 0) || math.IsInf(duration, 1) {
+		return fmt.Errorf("thermal: duration %g is not positive and finite", duration)
 	}
 	steps := int(math.Ceil(duration / m.maxDt))
 	if steps < 1 {
@@ -345,10 +372,16 @@ func (m *Model) StepFor(power []float64, duration float64) error {
 // SteadyState solves the network's equilibrium under the given power map
 // using Gauss-Seidel iteration and installs it as the current state.
 // tol is the maximum per-sweep temperature change (Celsius) at
-// convergence; maxIter bounds the sweep count.
+// convergence; maxIter bounds the sweep count. A power map holding NaN
+// or ±Inf is rejected before any state is touched.
 func (m *Model) SteadyState(power []float64, tol float64, maxIter int) error {
 	if len(power) != m.n {
 		return fmt.Errorf("thermal: power map has %d cells, want %d", len(power), m.n)
+	}
+	for i, p := range power {
+		if math.IsNaN(p) || math.IsInf(p, 0) {
+			return fmt.Errorf("thermal: non-finite power %g at cell %d", p, i)
+		}
 	}
 	if tol <= 0 {
 		tol = 1e-6
@@ -356,8 +389,6 @@ func (m *Model) SteadyState(power []float64, tol float64, maxIter int) error {
 	if maxIter <= 0 {
 		maxIter = 20000
 	}
-	nx, ny := m.nx, m.ny
-	die, spr := m.die, m.spr
 
 	// Sink equilibrium: all power eventually exits via the sink.
 	total := 0.0
@@ -366,66 +397,142 @@ func (m *Model) SteadyState(power []float64, tol float64, maxIter int) error {
 	}
 	m.sink = m.cfg.Ambient + total*m.cfg.SinkToAmbientResistance
 
-	for iter := 0; iter < maxIter; iter++ {
-		maxDelta := 0.0
-		for y := 0; y < ny; y++ {
-			row := y * nx
-			for x := 0; x < nx; x++ {
-				i := row + x
-				// Die node.
-				num := power[i] + m.gTIM*spr[i]
-				den := m.gTIM
-				if x > 0 {
-					num += m.gxDie * die[i-1]
-					den += m.gxDie
-				}
-				if x < nx-1 {
-					num += m.gxDie * die[i+1]
-					den += m.gxDie
-				}
-				if y > 0 {
-					num += m.gyDie * die[i-nx]
-					den += m.gyDie
-				}
-				if y < ny-1 {
-					num += m.gyDie * die[i+nx]
-					den += m.gyDie
-				}
-				nt := num / den
-				if d := math.Abs(nt - die[i]); d > maxDelta {
-					maxDelta = d
-				}
-				die[i] = nt
+	g := m.gsGrid(power)
+	defer gsRelease(g)
+	nx, ny, w := m.nx, m.ny, m.nx+2
+	gxDie, gyDie, gxSpr, gySpr, gTIM := m.gxDie, m.gyDie, m.gxSpr, m.gySpr, m.gTIM
+	sinkTerm := m.gSink * m.sink
 
-				// Spreader node.
-				num = m.gTIM*die[i] + m.gSink*m.sink
-				den = m.gTIM + m.gSink
-				if x > 0 {
-					num += m.gxSpr * spr[i-1]
-					den += m.gxSpr
+	converged := false
+	for iter := 0; iter < maxIter && !converged; iter++ {
+		// Once maxDelta reaches tol the sweep cannot converge, so the
+		// rest of it skips the test.
+		maxDelta, measuring := 0.0, true
+		for y0 := 0; y0 < ny; y0 += gsBand {
+			rows := min(gsBand, ny-y0)
+			// Cell (x, y0+k) is visited at step t = x+k, so a step's
+			// cells lie on one anti-diagonal, w-1 apart in the padded grid.
+			first := (y0+1)*w + 1
+			for t := 0; t < nx+rows-1; t++ {
+				kLo, kHi := max(0, t-nx+1), min(rows-1, t)
+				for p, end := first+t+kLo*(w-1), first+t+kHi*(w-1); p <= end; p += w - 1 {
+					c := &g[p]
+					num := c.power + gTIM*c.spr
+					num += gxDie * g[p-1].die
+					num += gxDie * g[p+1].die
+					num += gyDie * g[p-w].die
+					num += gyDie * g[p+w].die
+					nt := num / c.denDie
+					if measuring {
+						if d := math.Abs(nt - c.die); d > maxDelta {
+							maxDelta = d
+							measuring = maxDelta < tol
+						}
+					}
+					c.die = nt
+
+					num = gTIM*nt + sinkTerm
+					num += gxSpr * g[p-1].spr
+					num += gxSpr * g[p+1].spr
+					num += gySpr * g[p-w].spr
+					num += gySpr * g[p+w].spr
+					nt = num / c.denSpr
+					if measuring {
+						if d := math.Abs(nt - c.spr); d > maxDelta {
+							maxDelta = d
+							measuring = maxDelta < tol
+						}
+					}
+					c.spr = nt
 				}
-				if x < nx-1 {
-					num += m.gxSpr * spr[i+1]
-					den += m.gxSpr
-				}
-				if y > 0 {
-					num += m.gySpr * spr[i-nx]
-					den += m.gySpr
-				}
-				if y < ny-1 {
-					num += m.gySpr * spr[i+nx]
-					den += m.gySpr
-				}
-				nt = num / den
-				if d := math.Abs(nt - spr[i]); d > maxDelta {
-					maxDelta = d
-				}
-				spr[i] = nt
 			}
 		}
-		if maxDelta < tol {
-			return nil
+		converged = maxDelta < tol
+	}
+	for y := 0; y < ny; y++ {
+		for x := 0; x < nx; x++ {
+			c := &g[(y+1)*w+x+1]
+			m.die[y*nx+x], m.spr[y*nx+x] = c.die, c.spr
 		}
 	}
-	return fmt.Errorf("thermal: steady state did not converge in %d iterations", maxIter)
+	if !converged {
+		return fmt.Errorf("thermal: steady state did not converge in %d iterations", maxIter)
+	}
+	return nil
+}
+
+// gsBand is the number of grid rows SteadyState sweeps as one skewed band.
+const gsBand = 4
+
+// gsNode is one cell of SteadyState's grid, padded by one ghost cell on
+// every side (row stride NX+2): both layers, the power map and each
+// node's denominator.
+type gsNode struct {
+	die, spr, power float64
+	denDie, denSpr  float64
+}
+
+// gsGrids holds the solver grids not in use. A process keeps about one
+// per concurrent solve, not one per Model that has solved, and a Model
+// that never solves (its warm starts all restored from a memo) costs
+// nothing.
+var gsGrids struct {
+	sync.Mutex
+	free [][]gsNode
+}
+
+// gsGrid takes a grid from gsGrids and loads the solve's start into it:
+// every cell's die and spreader temperature, power and denominators, and
+// −0.0 in every ghost cell's die and spr. The caller hands it back with
+// gsRelease.
+func (m *Model) gsGrid(power []float64) []gsNode {
+	nx, ny, w := m.nx, m.ny, m.nx+2
+	size := w * (ny + 2)
+	var g []gsNode
+	gsGrids.Lock()
+	if n := len(gsGrids.free); n > 0 {
+		g = gsGrids.free[n-1]
+		gsGrids.free = gsGrids.free[:n-1]
+	}
+	gsGrids.Unlock()
+	if cap(g) < size {
+		g = make([]gsNode, size)
+	}
+	g = g[:size]
+	negZero := math.Copysign(0, -1)
+	for y := -1; y <= ny; y++ {
+		for x := -1; x <= nx; x++ {
+			c := &g[(y+1)*w+x+1]
+			if x < 0 || x == nx || y < 0 || y == ny {
+				*c = gsNode{die: negZero, spr: negZero}
+				continue
+			}
+			i := y*nx + x
+			*c = gsNode{die: m.die[i], spr: m.spr[i], power: power[i], denDie: m.gTIM, denSpr: m.gTIM + m.gSink}
+			if x > 0 {
+				c.denDie += m.gxDie
+				c.denSpr += m.gxSpr
+			}
+			if x < nx-1 {
+				c.denDie += m.gxDie
+				c.denSpr += m.gxSpr
+			}
+			if y > 0 {
+				c.denDie += m.gyDie
+				c.denSpr += m.gySpr
+			}
+			if y < ny-1 {
+				c.denDie += m.gyDie
+				c.denSpr += m.gySpr
+			}
+		}
+	}
+	return g
+}
+
+// gsRelease hands a grid from gsGrid back to gsGrids.
+func gsRelease(g []gsNode) {
+	gsGrids.Lock()
+	gsGrids.free = append(gsGrids.free, g)
+	gsGrids.Unlock()
 }

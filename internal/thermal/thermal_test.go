@@ -33,6 +33,9 @@ func TestNewValidates(t *testing.T) {
 		func(c *Config) { c.SinkHeatCapacity = 0 },
 		func(c *Config) { c.SinkToAmbientResistance = 0 },
 		func(c *Config) { c.SpreaderToSinkResistanceArea = 0 },
+		func(c *Config) { c.Silicon.Conductivity = math.NaN() },
+		func(c *Config) { c.Spreader.Conductivity = math.Inf(1) },
+		func(c *Config) { c.TIMConductivity = 1e300; c.DieW, c.DieH = 1e300, 1e300 },
 	}
 	for i, mutate := range bad {
 		cfg := DefaultConfig()
