@@ -41,8 +41,10 @@ race:
 # differential fuzzes of the decide request scanner against the
 # encoding/json decoder it falls back to, of the recency-ordered cache
 # against the timestamp-LRU reference it replaced, of the exact GBT
-# trainer against the map-based trainer it replaced, and of the
-# skewed-band steady-state solver against the row-major one it replaced.
+# trainer against the map-based trainer it replaced, of the
+# skewed-band steady-state solver against the row-major one it replaced,
+# and of a pipeline replaying its family's core rate traces against a
+# fresh pipeline stepping its core live.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzLoadModel -fuzztime=10s ./internal/ml/gbt
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeDecideRequest -fuzztime=10s ./internal/serve
@@ -50,6 +52,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzCacheMatchesStampLRU -fuzztime=10s ./internal/arch
 	$(GO) test -run='^$$' -fuzz=FuzzExactMatchesMapReference -fuzztime=10s ./internal/ml/gbt
 	$(GO) test -run='^$$' -fuzz=FuzzSteadyStateMatchesReference -fuzztime=10s ./internal/thermal
+	$(GO) test -run='^$$' -fuzz=FuzzRateTraceReplay -fuzztime=10s ./internal/sim
 
 # One-iteration smoke of the trace-layer benchmark: reports the
 # streaming path's allocs/op without paying full bench time (the flat
@@ -94,7 +97,7 @@ smoke:
 # resumable checkpoint, no temp files), and a -deadline run that must
 # stop with exit code 3 and leave a resumable directory behind. The
 # deadline must fall well inside the quick fig7 run, which takes about
-# 4.5 s on a 2-CPU host; a deadline near that length lets the run
+# 3.3 s on a 2-CPU host; a deadline near that length lets the run
 # finish first and exit 0.
 soak-smoke:
 	$(GO) test -run 'TestChaosKillResumeSmoke|TestInterruptSavesCheckpoint' ./internal/experiments ./cmd/boreas

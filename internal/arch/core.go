@@ -246,19 +246,61 @@ func (c *Core) sampleBranches(p PhaseParams) (mispred float64) {
 	return float64(wrong) / float64(n)
 }
 
+// Rates are the structural-simulation results of one timestep: the miss,
+// write and misprediction rates that the cache, TLB and branch models
+// measure. They depend only on the phase and the structural state, never
+// on the operating point, which enters through the interval equations
+// alone (as in Sniper's interval model).
+type Rates struct {
+	MissL1D, MissL2, MissDTLB, WriteFrac float64
+	MissL1I, MissITLB                    float64
+	Mispred                              float64
+}
+
 // Step advances the core by dt seconds at the given operating point and
-// returns the telemetry for the interval.
+// returns the telemetry for the interval. It is Check, Sample and
+// Interval in turn.
 func (c *Core) Step(p PhaseParams, fGHz, volt, dt float64) (Counters, error) {
-	if err := p.Validate(); err != nil {
+	if err := c.Check(p, fGHz, dt); err != nil {
 		return Counters{}, err
 	}
-	if fGHz <= 0 || dt <= 0 {
-		return Counters{}, fmt.Errorf("arch: non-positive frequency or dt")
-	}
+	return c.Interval(p, c.Sample(p), fGHz, volt, dt), nil
+}
 
-	missL1D, missL2, missDTLB, writeFrac := c.sampleData(p)
-	missL1I, missITLB := c.sampleInstr(p)
-	mispred := c.sampleBranches(p)
+// Check reports whether Step would accept its arguments, without touching
+// the core: a non-finite value anywhere is an error, so one can never
+// reach a sample or a counter.
+func (c *Core) Check(p PhaseParams, fGHz, dt float64) error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	if fGHz <= 0 || dt <= 0 {
+		return fmt.Errorf("arch: non-positive frequency or dt")
+	}
+	if !finite(fGHz) || !finite(dt) {
+		return fmt.Errorf("arch: non-finite frequency %g GHz or dt %g s", fGHz, dt)
+	}
+	return nil
+}
+
+// Sample runs one timestep of the data, instruction-fetch and branch
+// streams through the structural models, advancing their state, and
+// returns the measured rates. p must have passed Check.
+func (c *Core) Sample(p PhaseParams) Rates {
+	var r Rates
+	r.MissL1D, r.MissL2, r.MissDTLB, r.WriteFrac = c.sampleData(p)
+	r.MissL1I, r.MissITLB = c.sampleInstr(p)
+	r.Mispred = c.sampleBranches(p)
+	return r
+}
+
+// Interval applies the interval equations to one timestep's rates at the
+// given operating point and returns its telemetry. It reads only the
+// core's configuration, so the same rates give the same counters on any
+// core of that configuration. The arguments must have passed Check.
+func (c *Core) Interval(p PhaseParams, r Rates, fGHz, volt, dt float64) Counters {
+	missL1D, missL2, missDTLB, writeFrac := r.MissL1D, r.MissL2, r.MissDTLB, r.WriteFrac
+	missL1I, missITLB, mispred := r.MissL1I, r.MissITLB, r.Mispred
 
 	cycles := dt * fGHz * 1e9
 	l2Cy := c.cfg.L2LatencyNs * fGHz
@@ -293,7 +335,7 @@ func (c *Core) Step(p PhaseParams, fGHz, volt, dt float64) (Counters, error) {
 	dca := loads + stores
 	clamp01 := func(x float64) float64 { return math.Max(0, math.Min(1, x)) }
 
-	k := Counters{
+	return Counters{
 		FrequencyGHz: fGHz,
 		Voltage:      volt,
 
@@ -355,7 +397,6 @@ func (c *Core) Step(p PhaseParams, fGHz, volt, dt float64) (Counters, error) {
 
 		EffectiveFPWidth: p.FPWidth,
 	}
-	return k, nil
 }
 
 // Reset flushes all structural state (cold caches, forgotten branch

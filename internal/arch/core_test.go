@@ -2,6 +2,7 @@ package arch
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/hotgauge/boreas/internal/floorplan"
@@ -314,5 +315,84 @@ func TestBranchRegularityAffectsMispredictions(t *testing.T) {
 	}
 	if mrReg, mrChaos := run(regular), run(chaotic); mrReg >= mrChaos/2 {
 		t.Fatalf("regular branches (%v) should mispredict far less than chaotic (%v)", mrReg, mrChaos)
+	}
+}
+
+// TestStepRejectsNonFinite feeds NaN and infinite values through every
+// float input Step checks. Check and Step must both reject each with a
+// descriptive error before anything is sampled: the next valid step must
+// equal a fresh core's first step.
+func TestStepRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	phase := func(set func(*PhaseParams)) PhaseParams {
+		p := computePhase()
+		set(&p)
+		return p
+	}
+	cases := []struct {
+		name  string
+		p     PhaseParams
+		f, dt float64
+		want  string
+	}{
+		{"BaseCPI NaN", phase(func(p *PhaseParams) { p.BaseCPI = nan }), 4, 80e-6, "non-finite BaseCPI NaN"},
+		{"BaseCPI +Inf", phase(func(p *PhaseParams) { p.BaseCPI = inf }), 4, 80e-6, "non-finite BaseCPI +Inf"},
+		{"BaseCPI -Inf", phase(func(p *PhaseParams) { p.BaseCPI = -inf }), 4, 80e-6, "non-positive BaseCPI -Inf"},
+		{"FracInt NaN", phase(func(p *PhaseParams) { p.FracInt = nan }), 4, 80e-6, "phase fraction NaN outside [0,1]"},
+		{"FracMul NaN", phase(func(p *PhaseParams) { p.FracMul = nan }), 4, 80e-6, "phase fraction NaN outside [0,1]"},
+		{"FracDiv NaN", phase(func(p *PhaseParams) { p.FracDiv = nan }), 4, 80e-6, "phase fraction NaN outside [0,1]"},
+		{"FracFP NaN", phase(func(p *PhaseParams) { p.FracFP = nan }), 4, 80e-6, "phase fraction NaN outside [0,1]"},
+		{"FracFP +Inf", phase(func(p *PhaseParams) { p.FracFP = inf }), 4, 80e-6, "phase fraction +Inf outside [0,1]"},
+		{"FracLoad NaN", phase(func(p *PhaseParams) { p.FracLoad = nan }), 4, 80e-6, "phase fraction NaN outside [0,1]"},
+		{"FracStore NaN", phase(func(p *PhaseParams) { p.FracStore = nan }), 4, 80e-6, "phase fraction NaN outside [0,1]"},
+		{"FracBranch NaN", phase(func(p *PhaseParams) { p.FracBranch = nan }), 4, 80e-6, "phase fraction NaN outside [0,1]"},
+		{"DataSeqFraction NaN", phase(func(p *PhaseParams) { p.DataSeqFraction = nan }), 4, 80e-6, "phase fraction NaN outside [0,1]"},
+		{"BranchRegularity NaN", phase(func(p *PhaseParams) { p.BranchRegularity = nan }), 4, 80e-6, "phase fraction NaN outside [0,1]"},
+		{"FPWidth NaN", phase(func(p *PhaseParams) { p.FPWidth = nan }), 4, 80e-6, "FPWidth NaN outside [0,8]"},
+		{"FPWidth +Inf", phase(func(p *PhaseParams) { p.FPWidth = inf }), 4, 80e-6, "FPWidth +Inf outside [0,8]"},
+		{"fGHz NaN", computePhase(), nan, 80e-6, "non-finite frequency NaN GHz"},
+		{"fGHz +Inf", computePhase(), inf, 80e-6, "non-finite frequency +Inf GHz"},
+		{"fGHz -Inf", computePhase(), -inf, 80e-6, "non-positive frequency"},
+		{"dt NaN", computePhase(), 4, nan, "dt NaN s"},
+		{"dt +Inf", computePhase(), 4, inf, "dt +Inf s"},
+		{"dt -Inf", computePhase(), 4, -inf, "non-positive frequency or dt"},
+	}
+	fresh := newCore(t)
+	want, err := fresh.Step(memoryPhase(), 4, 1, 80e-6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range cases {
+		c := newCore(t)
+		if err := c.Check(tc.p, tc.f, tc.dt); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: Check error %v, want one containing %q", tc.name, err, tc.want)
+		}
+		if k, err := c.Step(tc.p, tc.f, 1, tc.dt); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: Step error %v (counters %+v), want one containing %q", tc.name, err, k, tc.want)
+		}
+		got, err := c.Step(memoryPhase(), 4, 1, 80e-6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("%s: a rejected step advanced the core", tc.name)
+		}
+	}
+}
+
+// TestStepIsSampleThenInterval pins the split Step is built from: the
+// interval equations applied to a sampled step's rates, on another core
+// of the same configuration, give Step's counters bit for bit.
+func TestStepIsSampleThenInterval(t *testing.T) {
+	stepped, sampled, other := newCore(t), newCore(t), newCore(t)
+	for i, p := range []PhaseParams{computePhase(), memoryPhase(), computePhase()} {
+		f := 2.0 + float64(i)
+		want, err := stepped.Step(p, f, 1, 80e-6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := other.Interval(p, sampled.Sample(p), f, 1, 80e-6); got != want {
+			t.Fatalf("step %d: Interval(Sample) = %+v, Step = %+v", i, got, want)
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package arch
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // PhaseParams characterises one execution phase of a workload: the
 // instruction mix, locality and predictability parameters that drive the
@@ -40,18 +43,23 @@ type PhaseParams struct {
 	BranchRegularity float64
 }
 
-// Validate reports parameter errors.
+// Validate reports parameter errors. NaN and infinite values are errors
+// too: every comparison with NaN is false, so each range test is written
+// to pass only values inside the range.
 func (p PhaseParams) Validate() error {
 	if p.BaseCPI <= 0 {
 		return fmt.Errorf("arch: non-positive BaseCPI %g", p.BaseCPI)
 	}
+	if !finite(p.BaseCPI) {
+		return fmt.Errorf("arch: non-finite BaseCPI %g", p.BaseCPI)
+	}
 	for _, f := range []float64{p.FracInt, p.FracMul, p.FracDiv, p.FracFP,
 		p.FracLoad, p.FracStore, p.FracBranch, p.DataSeqFraction, p.BranchRegularity} {
-		if f < 0 || f > 1 {
+		if !(f >= 0 && f <= 1) {
 			return fmt.Errorf("arch: phase fraction %g outside [0,1]", f)
 		}
 	}
-	if p.FPWidth < 0 || p.FPWidth > 8 {
+	if !(p.FPWidth >= 0 && p.FPWidth <= 8) {
 		return fmt.Errorf("arch: FPWidth %g outside [0,8]", p.FPWidth)
 	}
 	if p.DataWorkingSet <= 0 || p.InstrWorkingSet <= 0 {
@@ -59,6 +67,9 @@ func (p PhaseParams) Validate() error {
 	}
 	return nil
 }
+
+// finite reports whether v is neither NaN nor infinite.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // Lerp linearly interpolates between two phases (t in [0,1]), used by
 // workload models to ramp smoothly between program phases.

@@ -9,12 +9,22 @@
 // telemetry (performance counters + one delayed sensor reading) and the
 // ground-truth Hotspot-Severity used for training labels and for scoring
 // controllers.
+//
+// A pipeline and its Clones form a family that shares two memos, both
+// keyed by workload pointer (workloads must not be mutated once run):
+// warm-start thermal states per (workload, frequency), and per run the
+// core's structural rates step by step. The core's cache, TLB and branch
+// samples never read the operating point, and every run starts from a
+// core reset with the family seed, so a run's rates are the same at every
+// frequency: a family samples them live for a run's first two requests
+// and replays them after that, leaving every output bit-identical.
 package sim
 
 import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"github.com/hotgauge/boreas/internal/arch"
 	"github.com/hotgauge/boreas/internal/floorplan"
@@ -225,9 +235,85 @@ func (wm *warmMemo) load(k warmKey) (*warmState, bool) {
 func (wm *warmMemo) store(k warmKey, st *warmState) {
 	wm.mu.Lock()
 	defer wm.mu.Unlock()
+	if wm.m == nil {
+		wm.m = make(map[warmKey]*warmState)
+	}
 	if _, ok := wm.m[k]; !ok {
 		wm.m[k] = st
 	}
+}
+
+// traceKey identifies a workload run within a pipeline family: the
+// workload, keyed by pointer under the same no-mutation contract as
+// warmKey, and the run's bound seed. Pipelines of a family share their
+// Config, so a run's params at every timestep follow from the key.
+type traceKey struct {
+	w    *workload.Workload
+	seed uint64
+}
+
+// rateTrace holds the core rates of one run, step by step, as a core
+// freshly reset with the family seed samples them from time 0. Entries
+// are never modified once appended.
+type rateTrace struct {
+	mu    sync.Mutex
+	rates []arch.Rates
+}
+
+// recorded returns the steps recorded so far. Appends never write below
+// the returned length, so the caller may read the slice without the lock.
+func (t *rateTrace) recorded() []arch.Rates {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.rates
+}
+
+// extend appends r as step k unless another pipeline recorded step k
+// first (with the same value, since both sampled the same run on equally
+// reset cores).
+func (t *rateTrace) extend(k int, r arch.Rates) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if len(t.rates) == k {
+		t.rates = append(t.rates, r)
+	}
+}
+
+// traceMemo holds the rate traces of one pipeline family. A key's first
+// request records nothing (a nil entry), so a stream that runs only once
+// per family, such as a fleet chip on its own CloneWithSeed, costs no
+// trace; the second request starts recording.
+type traceMemo struct {
+	mu sync.Mutex
+	m  map[traceKey]*rateTrace
+
+	// samples counts the core samples the family's pipelines have taken.
+	samples atomic.Int64
+}
+
+// request returns k's trace, or nil on the key's first request.
+func (tm *traceMemo) request(k traceKey) *rateTrace {
+	tm.mu.Lock()
+	defer tm.mu.Unlock()
+	t, seen := tm.m[k]
+	if seen && t == nil {
+		t = &rateTrace{}
+		tm.m[k] = t
+	} else if !seen {
+		if tm.m == nil {
+			tm.m = make(map[traceKey]*rateTrace)
+		}
+		tm.m[k] = nil
+	}
+	return t
+}
+
+// family holds the memos a pipeline shares with its Clones. Their maps
+// are made on first store, so New allocates one small value for both
+// and Clone nothing.
+type family struct {
+	warm  warmMemo
+	rates traceMemo
 }
 
 // Pipeline is one instantiated simulation. Not safe for concurrent use;
@@ -235,8 +321,9 @@ func (wm *warmMemo) store(k warmKey, st *warmState) {
 type Pipeline struct {
 	cfg Config
 
-	// warm is shared by every Clone of this pipeline (see WarmStart).
-	warm *warmMemo
+	// fam is shared by every Clone of this pipeline (see WarmStart and
+	// coreRates).
+	fam *family
 
 	fp       *floorplan.Floorplan
 	vf       power.VFCurve
@@ -251,6 +338,19 @@ type Pipeline struct {
 	tap       SensorTap
 	stepIndex int
 
+	// Core replay state (see coreRates). follow is the trace of followRun,
+	// the only run the core has stepped since its last reset, or nil when
+	// the core steps live. runSteps counts followRun's steps since that
+	// reset; the real core has sampled the first coreSteps of them, and
+	// its next sample is at coreTime.
+	coreFresh bool
+	follow    *rateTrace
+	followRun *workload.Run
+	replay    []arch.Rates // follow's recorded steps, as last read
+	runSteps  int
+	coreSteps int
+	coreTime  float64
+
 	time       float64
 	blockTemp  []float64
 	blockAct   []float64
@@ -261,6 +361,17 @@ type Pipeline struct {
 // New builds a pipeline. Unset platform fields (Floorplan, VF, Workloads,
 // SensorSpots) fall back to the default Skylake-like setup.
 func New(cfg Config) (*Pipeline, error) {
+	p, err := build(cfg)
+	if err != nil {
+		return nil, err
+	}
+	p.fam = &family{}
+	return p, nil
+}
+
+// build instantiates cfg's layers in a reset pipeline that has no
+// family yet.
+func build(cfg Config) (*Pipeline, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -310,7 +421,6 @@ func New(cfg Config) (*Pipeline, error) {
 
 	p := &Pipeline{
 		cfg:        cfg,
-		warm:       &warmMemo{m: make(map[warmKey]*warmState)},
 		fp:         fp,
 		vf:         cfg.ResolvedVF(),
 		wset:       cfg.WorkloadSet(),
@@ -336,22 +446,23 @@ func (p *Pipeline) Config() Config { return p.cfg }
 // are stateful and not safe for concurrent use; the campaign runner hands
 // each worker task its own clone. Because every run starts with a full
 // Reset/WarmStart, a clone produces bit-identical traces to the pipeline
-// it was cloned from. The clone shares p's warm-start memo (safe for
-// concurrent use), so a warm start solved on any pipeline of the family
-// is restored, not re-solved, on the others.
+// it was cloned from. The clone shares p's warm-start and rate-trace
+// memos (safe for concurrent use), so a warm start solved on any
+// pipeline of the family is restored, not re-solved, on the others, and
+// a run's core rates sampled on one are replayed on the others.
 func (p *Pipeline) Clone() (*Pipeline, error) {
-	c, err := New(p.cfg)
+	c, err := build(p.cfg)
 	if err != nil {
 		return nil, err
 	}
-	c.warm = p.warm
+	c.fam = p.fam
 	return c, nil
 }
 
 // CloneWithSeed builds a fresh pipeline with the same configuration but a
 // different seed, for per-task seed derivation in parallel campaigns. A
-// different seed probes a different power map, so the clone starts its
-// own, empty warm-start memo.
+// different seed probes a different power map and resets the core to a
+// different stream, so the clone starts its own, empty memos.
 func (p *Pipeline) CloneWithSeed(seed uint64) (*Pipeline, error) {
 	cfg := p.cfg
 	cfg.Seed = seed
@@ -395,7 +506,7 @@ func (p *Pipeline) Time() float64 { return p.time }
 // Reset returns the pipeline to its initial condition: cold structures,
 // die at ambient, sensor history pre-filled at ambient, t = 0.
 func (p *Pipeline) Reset() {
-	p.core.Reset(p.cfg.Seed)
+	p.resetCore()
 	p.therm.Reset(p.cfg.Thermal.Ambient)
 	p.sensors.Reset(p.cfg.Thermal.Ambient)
 	p.time = 0
@@ -403,6 +514,75 @@ func (p *Pipeline) Reset() {
 	if p.tap != nil {
 		p.tap.Reset()
 	}
+}
+
+// resetCore resets the core to the family seed. The next step may
+// follow a rate trace again.
+func (p *Pipeline) resetCore() {
+	p.core.Reset(p.cfg.Seed)
+	p.coreFresh = true
+	p.follow, p.followRun, p.replay = nil, nil, nil
+}
+
+// coreRates returns the core rates of run's step at p.time. A run that
+// starts on a freshly reset core at time 0 follows the family's trace of
+// that run: steps the trace holds are replayed without stepping the
+// core, and a step past its end catches the core up on the steps it
+// skipped, samples live and is appended. The first step of another run,
+// which the trace of neither run describes, catches the core up and
+// leaves it live until its next reset.
+func (p *Pipeline) coreRates(run *workload.Run, params arch.PhaseParams) arch.Rates {
+	if p.coreFresh {
+		p.coreFresh = false
+		if p.time == 0 {
+			if p.follow = p.fam.rates.request(traceKey{w: run.Workload(), seed: run.Seed()}); p.follow != nil {
+				p.followRun = run
+				p.runSteps, p.coreSteps, p.coreTime = 0, 0, 0
+			}
+		}
+	}
+	if p.follow != nil && (run.Workload() != p.followRun.Workload() || run.Seed() != p.followRun.Seed()) {
+		p.unfollow()
+	}
+	if p.follow == nil {
+		return p.sample(params)
+	}
+	k := p.runSteps
+	p.runSteps++
+	if k >= len(p.replay) {
+		p.replay = p.follow.recorded()
+	}
+	if k < len(p.replay) {
+		return p.replay[k]
+	}
+	p.catchUp(k)
+	r := p.sample(params)
+	p.coreSteps++
+	p.coreTime += p.cfg.TimestepSec
+	p.follow.extend(k, r)
+	return r
+}
+
+// catchUp samples and discards the followed run's steps below n that the
+// core skipped, so its state is that of a core which stepped them all.
+func (p *Pipeline) catchUp(n int) {
+	for ; p.coreSteps < n; p.coreSteps++ {
+		p.sample(p.followRun.ParamsAt(p.coreTime))
+		p.coreTime += p.cfg.TimestepSec
+	}
+}
+
+// unfollow catches the core up on every step of the followed run and
+// leaves it live until its next reset.
+func (p *Pipeline) unfollow() {
+	p.catchUp(p.runSteps)
+	p.follow, p.followRun, p.replay = nil, nil, nil
+}
+
+// sample steps the core's structural models through one timestep.
+func (p *Pipeline) sample(params arch.PhaseParams) arch.Rates {
+	p.fam.rates.samples.Add(1)
+	return p.core.Sample(params)
 }
 
 // updateBlockTemps computes per-block mean die temperature.
@@ -455,18 +635,27 @@ func resize(s []float64, n int) []float64 {
 // and res.SensorCurrent as scratch when their capacity suffices (they
 // are (re)sliced to the sensor count, allocated only if too small).
 // Passing the same *res across steps makes the step loop
-// allocation-free; the slice contents are overwritten on the next call,
+// allocation-free, apart from the amortised growth of a rate trace the
+// step records; the slice contents are overwritten on the next call,
 // so callers that retain readings must copy them or pass a fresh
-// StepResult each step. On error *res is left unspecified and the
-// pipeline state is unchanged.
+// StepResult each step. On error *res is left unspecified. An error from
+// the core's validation (a bad phase, frequency or timestep) leaves the
+// pipeline unchanged; an error from a later layer leaves it partly
+// advanced (the core, its position in a replayed trace, possibly the
+// thermal state, but not the clock), so Reset or WarmStart it before
+// stepping it again.
+//
+// The core's structural rates are replayed from the family's trace of
+// the run when the pipeline can follow it (see coreRates), which leaves
+// every output bit-identical to stepping the core.
 func (p *Pipeline) StepInto(run *workload.Run, fGHz float64, res *StepResult) error {
 	volt := p.vf.VoltageFor(fGHz)
 	params := run.ParamsAt(p.time)
 
-	counters, err := p.core.Step(params, fGHz, volt, p.cfg.TimestepSec)
-	if err != nil {
+	if err := p.core.Check(params, fGHz, p.cfg.TimestepSec); err != nil {
 		return fmt.Errorf("sim: core step: %w", err)
 	}
+	counters := p.core.Interval(params, p.coreRates(run, params), fGHz, volt, p.cfg.TimestepSec)
 
 	act := arch.ActivityVector(counters)
 	for b := range p.blockAct {
@@ -526,14 +715,16 @@ func (p *Pipeline) StepInto(run *workload.Run, fGHz float64, res *StepResult) er
 // solving again, and leaves the pipeline bit-identical to a cold one.
 // The workload is keyed by pointer and must not be mutated afterwards.
 // Probe steps never reach an installed SensorTap, which is Reset on
-// return.
+// return. The probe is a run of its own (seed Seed^0xdead) and replays
+// the family's rate trace like any other; WarmStart resets the core
+// before and after it, so the measured run can follow its own trace.
 func (p *Pipeline) WarmStart(w *workload.Workload, fGHz float64) error {
 	p.Reset()
 	if p.cfg.WarmStartFraction == 0 {
 		return nil
 	}
 	key := warmKey{w: w, freq: math.Float64bits(fGHz)}
-	if st, ok := p.warm.load(key); ok {
+	if st, ok := p.fam.warm.load(key); ok {
 		if err := p.therm.Restore(st.die, st.spr, st.sink); err != nil {
 			return fmt.Errorf("sim: warm-start restore: %w", err)
 		}
@@ -541,7 +732,7 @@ func (p *Pipeline) WarmStart(w *workload.Workload, fGHz float64) error {
 		if err := p.solveWarmStart(w, fGHz); err != nil {
 			return err
 		}
-		p.warm.store(key, &warmState{
+		p.fam.warm.store(key, &warmState{
 			die:  append([]float64(nil), p.therm.Die()...),
 			spr:  append([]float64(nil), p.therm.Spreader()...),
 			sink: p.therm.Sink(),
@@ -585,7 +776,7 @@ func (p *Pipeline) solveWarmStart(w *workload.Workload, fGHz float64) error {
 	for c := range avg {
 		avg[c] *= scale
 	}
-	p.core.Reset(p.cfg.Seed)
+	p.resetCore()
 	if err := p.therm.SteadyState(avg, 1e-4, 0); err != nil {
 		return fmt.Errorf("sim: warm-start steady state: %w", err)
 	}

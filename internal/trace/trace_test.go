@@ -380,8 +380,12 @@ func TestTraceViews(t *testing.T) {
 
 // TestRunStaticAllocsFlat pins the streaming path's O(1) allocation
 // claim: a static run feeding a PeakReducer allocates the same per run
-// at 12 and at 96 steps, so no step allocates. The pipeline is reused,
-// so after AllocsPerRun's warm-up run every warm start is a memo hit.
+// at 12 and at 96 steps, so no step allocates. The pipeline is reused
+// and runs each length once before AllocsPerRun's warm-up run, so every
+// measured warm start is a memo hit and every measured step replays the
+// family's rate trace, which is recorded from a run's second request on.
+// The live, catch-up and recording paths of a step, which fleet, loadgen
+// and serve chips take, are pinned by the sim package's TestStepIntoAllocs.
 func TestRunStaticAllocsFlat(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	cfg.Thermal.NX, cfg.Thermal.NY = 24, 18
@@ -392,6 +396,9 @@ func TestRunStaticAllocsFlat(t *testing.T) {
 	}
 	allocs := func(steps int) float64 {
 		var pr trace.PeakReducer
+		if err := trace.RunStatic(p, "gromacs", 4.25, steps, &pr); err != nil {
+			t.Fatal(err)
+		}
 		return testing.AllocsPerRun(3, func() {
 			if err := trace.RunStatic(p, "gromacs", 4.25, steps, &pr); err != nil {
 				t.Fatal(err)
