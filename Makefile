@@ -96,14 +96,15 @@ smoke:
 # against an uninterrupted run), the CLI SIGINT contract (exit 3, saved
 # resumable checkpoint, no temp files), and a -deadline run that must
 # stop with exit code 3 and leave a resumable directory behind. The
-# deadline must fall well inside the quick fig7 run, which takes about
-# 3.3 s on a 2-CPU host; a deadline near that length lets the run
-# finish first and exit 0.
+# deadline must fall well inside the run it interrupts, or the run
+# finishes first and exits 0: the whole quick campaign takes about 33 s
+# on a 2-CPU host, over 15 times the 2 s deadline, where quick fig7
+# alone (2.6-4.8 s there) would leave little to spare.
 soak-smoke:
 	$(GO) test -run 'TestChaosKillResumeSmoke|TestInterruptSavesCheckpoint' ./internal/experiments ./cmd/boreas
 	@rm -rf smoke_ckpt; \
 	$(GO) build -o smoke_boreas ./cmd/boreas; \
-	./smoke_boreas -quick -experiment fig7 -checkpoint smoke_ckpt -deadline 2s > /dev/null 2>&1; \
+	./smoke_boreas -quick -experiment all -checkpoint smoke_ckpt -deadline 2s > /dev/null 2>&1; \
 	code=$$?; rm -f smoke_boreas; \
 	if [ $$code -ne 3 ]; then echo "deadline smoke: exit $$code, want 3"; rm -rf smoke_ckpt; exit 1; fi; \
 	if [ ! -f smoke_ckpt/manifest.json ]; then echo "deadline smoke: no checkpoint saved"; rm -rf smoke_ckpt; exit 1; fi; \

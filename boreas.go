@@ -348,7 +348,8 @@ func CloneController(c Controller) Controller { return control.CloneController(c
 // RunFleet executes cfg.Chips independent closed-loop sessions against
 // clones of the pipeline (derived seeds, cloned controllers, round-robin
 // workloads) and aggregates slim per-chip summaries. Results are
-// bit-identical at any worker count.
+// bit-identical at any worker count. Every chip shares cfg.Loop, so it
+// must carry no fault tap.
 func RunFleet(ctx context.Context, p *Pipeline, cfg FleetConfig) (*FleetResult, error) {
 	return engine.RunFleet(ctx, p, cfg)
 }
@@ -370,7 +371,11 @@ func NewThermalController(table *CriticalTemps, relax float64) *ThermalControlle
 }
 
 // CalibrateThermalMargin constructs the paper's TH-00: the smallest
-// threshold margin that is incursion-free on the calibration workloads.
+// integer threshold margin (up to maxMargin) that is incursion-free on
+// the calibration workloads. The answer is that of running every
+// workload's closed loop at margin 0, 1, 2, ...; a loop also settles the
+// later margins whose decisions agree with it at every decision point,
+// so no trajectory is simulated twice. cfg must carry no fault tap.
 func CalibrateThermalMargin(p *Pipeline, table *CriticalTemps, workloads []string, cfg LoopConfig, maxMargin float64) (*ThermalController, error) {
 	return engine.CalibrateThermalMargin(p, table, workloads, cfg, maxMargin)
 }

@@ -9,18 +9,22 @@ import (
 
 // goldenQuickLab holds values captured from the pre-platform-refactor
 // tree: a full quick-config Lab campaign (oracle, critical temperatures,
-// ML05 closed loop, training data) at Workers=4. The platform layer must
+// ML05 closed loop, training data) at Workers=4, plus the TH-00
+// calibration outcome as the margin-by-margin search found it. The
+// platform layer must
 // reproduce every one of them bit-for-bit on the default platform — the
 // refactor is a re-plumbing, not a re-modelling.
 var goldenQuickLab = struct {
-	oracleBest map[string]float64
-	oraclePeak map[string]map[float64]float64
-	critTemps  map[float64]float64
-	loopAvg    float64
-	loopPeak   float64
-	loopIncur  int
-	trainRows  int
-	trainYSum  float64
+	oracleBest   map[string]float64
+	oraclePeak   map[string]map[float64]float64
+	critTemps    map[float64]float64
+	th00Margin   float64
+	th00Headroom float64
+	loopAvg      float64
+	loopPeak     float64
+	loopIncur    int
+	trainRows    int
+	trainYSum    float64
 }{
 	oracleBest: map[string]float64{"gromacs": 4, "hmmer": 4, "bzip2": 4.75},
 	oraclePeak: map[string]map[float64]float64{
@@ -61,11 +65,13 @@ var goldenQuickLab = struct {
 		4.5:  91.353446212176948,
 		4.75: 100.62539726236871,
 	},
-	loopAvg:   4.375,
-	loopPeak:  0.67945939831652624,
-	loopIncur: 0,
-	trainRows: 9216,
-	trainYSum: 6718.8101333853419,
+	th00Margin:   13,
+	th00Headroom: 2,
+	loopAvg:      4.375,
+	loopPeak:     0.67945939831652624,
+	loopIncur:    0,
+	trainRows:    9216,
+	trainYSum:    6718.8101333853419,
 }
 
 // TestQuickLabMatchesPreRefactorGolden runs the full quick campaign on
@@ -102,6 +108,15 @@ func TestQuickLabMatchesPreRefactorGolden(t *testing.T) {
 		if got := ct.GlobalAt(f); got != want {
 			t.Errorf("crit temp @%g = %.17g, golden %.17g", f, got, want)
 		}
+	}
+
+	th, err := lab.TH00()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if th.Margin != g.th00Margin || th.Headroom != g.th00Headroom {
+		t.Errorf("TH-00 margin=%.17g headroom=%.17g, golden margin=%.17g headroom=%.17g",
+			th.Margin, th.Headroom, g.th00Margin, g.th00Headroom)
 	}
 
 	ml, err := lab.MLController(0.05)

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"github.com/hotgauge/boreas/internal/control"
@@ -194,5 +196,42 @@ func TestCochranClosedLoopRuns(t *testing.T) {
 	}
 	if res.AvgFreq < 2.0 || res.AvgFreq > 5.0 {
 		t.Fatalf("implausible average frequency %v", res.AvgFreq)
+	}
+}
+
+// TestOracleSweepYieldsCriticalTemps: one sweep gives both tables, each
+// bit-identical to its standalone builder, whatever rows of the sweep
+// the critical-temperature workloads occupy.
+func TestOracleSweepYieldsCriticalTemps(t *testing.T) {
+	p := fastSim(t)
+	freqs := []float64{3.75, 4.25, 4.75}
+	all := []string{"gamess", "calculix", "omnetpp", "gromacs"}
+	crit := []string{"gromacs", "calculix"}
+	ot, ct, err := BuildOracleCriticalTempsContext(context.Background(), p, all, freqs, 60, 2, crit, sim.DefaultSensorIndex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantOT, err := BuildOracle(p, all, freqs, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCT, err := BuildCriticalTemps(p, crit, freqs, 60, sim.DefaultSensorIndex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ot, wantOT) {
+		t.Fatalf("oracle %+v, standalone %+v", ot, wantOT)
+	}
+	if !reflect.DeepEqual(ct, wantCT) {
+		t.Fatalf("critical temperatures %+v, standalone %+v", ct, wantCT)
+	}
+	if math.IsInf(ct.PerWorkload["calculix"][4.75], 1) {
+		t.Fatal("calculix at 4.75 GHz should have a critical temperature")
+	}
+	if _, _, err := BuildOracleCriticalTempsContext(context.Background(), p, all, freqs, 60, 2, []string{"mcf"}, sim.DefaultSensorIndex); err == nil {
+		t.Fatal("expected an error for a critical-temperature workload outside the sweep")
+	}
+	if _, _, err := BuildOracleCriticalTempsContext(context.Background(), p, all, freqs, 60, 2, crit, 99); err == nil {
+		t.Fatal("expected sensor-index error")
 	}
 }

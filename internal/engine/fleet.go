@@ -29,7 +29,8 @@ type FleetConfig struct {
 	// the factory owns cloning if it hands out shared state.
 	ControllerFor func(chip int) (control.Controller, error)
 	// Loop configures each chip's closed-loop run; unset fields default
-	// per LoopConfig.Defaulted.
+	// per LoopConfig.Defaulted. Every chip shares it, so it must carry no
+	// SensorTap or CounterTap: RunFleet rejects one.
 	Loop LoopConfig
 	// Seed is the base seed; chip i simulates with
 	// runner.DeriveSeed(Seed, i), so every chip sees decorrelated
@@ -81,13 +82,17 @@ type FleetResult struct {
 // runs workload Workloads[i%len], on a pipeline seeded with
 // runner.DeriveSeed(cfg.Seed, i), with its own controller clone — so no
 // state is shared across chips and the result is bit-identical at any
-// worker count.
+// worker count. A fault tap in cfg.Loop would be shared, so RunFleet
+// rejects one.
 func RunFleet(ctx context.Context, p *sim.Pipeline, cfg FleetConfig) (*FleetResult, error) {
 	if cfg.Chips <= 0 {
 		return nil, fmt.Errorf("engine: fleet needs a positive chip count, got %d", cfg.Chips)
 	}
 	if cfg.Controller == nil && cfg.ControllerFor == nil {
 		return nil, fmt.Errorf("engine: fleet needs a Controller or a ControllerFor factory")
+	}
+	if err := rejectTaps(cfg.Loop, "a fleet"); err != nil {
+		return nil, err
 	}
 	workloads := cfg.Workloads
 	if len(workloads) == 0 {

@@ -23,7 +23,9 @@ type LoopConfig struct {
 	// measured run (after warm-start) and corrupts the delayed sensor
 	// readings the controller and the recorded trace see. Ground-truth
 	// severity is untouched. Taps are stateful: use a fresh tap (or one
-	// that fully resets) per run.
+	// that fully resets) per run. RunFleet and CalibrateThermalMargin,
+	// which share one config across concurrent runs, reject a config
+	// with either tap.
 	SensorTap sim.SensorTap
 	// CounterTap, when non-nil, corrupts the counter vector the
 	// controller observes at each decision point. The recorded trace
@@ -89,6 +91,16 @@ func (c LoopConfig) Validate() error {
 	return nil
 }
 
+// rejectTaps refuses a LoopConfig that carries a fault tap where one
+// config serves many concurrent runs: taps are stateful, so a shared tap
+// would be installed on, and mutated by, several pipelines at once.
+func rejectTaps(c LoopConfig, runs string) error {
+	if c.SensorTap != nil || c.CounterTap != nil {
+		return fmt.Errorf("engine: %s shares one LoopConfig across concurrent runs, so it takes no SensorTap or CounterTap (taps are stateful); run faulted loops one at a time with RunLoop", runs)
+	}
+	return nil
+}
+
 // LoopResult scores one closed-loop run.
 type LoopResult struct {
 	Workload   string
@@ -141,15 +153,7 @@ func RunLoop(p *sim.Pipeline, w *workload.Workload, ctrl control.Controller, cfg
 		SensorTemp: make([]float64, 0, cfg.Steps),
 	}
 	cs.trace = res
-	decisions := (cfg.Steps - 1) / cfg.DecisionPeriod
-	for k := 0; k < decisions; k++ {
-		obs, err := cs.Next(sess.Freq())
-		if err != nil {
-			return nil, err
-		}
-		sess.Decide(obs)
-	}
-	if _, err := cs.Advance(sess.Freq(), cfg.Steps-decisions*cfg.DecisionPeriod); err != nil {
+	if err := cs.drive(sess, nil); err != nil {
 		return nil, err
 	}
 	sum := cs.Summary()

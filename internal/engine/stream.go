@@ -132,6 +132,26 @@ func (cs *ChipStream) Advance(freq float64, steps int) (Observation, error) {
 	return obs, nil
 }
 
+// drive runs RunLoop's closed loop on the stream under sess: a decision
+// after every full interval that ends before step cfg.Steps, then the
+// remaining tail at the final decision. each, when non-nil, sees every
+// observation after sess has decided on it.
+func (cs *ChipStream) drive(sess *Session, each func(Observation)) error {
+	decisions := (cs.cfg.Steps - 1) / cs.cfg.DecisionPeriod
+	for k := 0; k < decisions; k++ {
+		obs, err := cs.Next(sess.Freq())
+		if err != nil {
+			return err
+		}
+		sess.Decide(obs)
+		if each != nil {
+			each(obs)
+		}
+	}
+	_, err := cs.Advance(sess.Freq(), cs.cfg.Steps-decisions*cs.cfg.DecisionPeriod)
+	return err
+}
+
 // Next advances one full decision interval (DecisionPeriod timesteps) at
 // the commanded frequency and returns the boundary observation.
 func (cs *ChipStream) Next(freq float64) (Observation, error) {

@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"github.com/hotgauge/boreas/internal/checkpoint"
 	"github.com/hotgauge/boreas/internal/control"
@@ -162,6 +163,13 @@ type Lab struct {
 	predictor memo[*core.Predictor]
 	fullModel memo[*gbt.Model] // trained on all 78 features (Table IV study)
 	th00      memo[*control.ThermalController]
+
+	// sweptCrit is the training-set critical-temperature table the
+	// oracle sweep observed, nil until a sweep has run in this Lab (an
+	// oracle replayed from a checkpoint runs none).
+	sweptCrit atomic.Pointer[control.CriticalTemps]
+	// critSweeps counts the standalone critical-temperature sweeps run.
+	critSweeps int
 }
 
 // NewLab validates the configuration and builds the pipeline.
@@ -206,22 +214,38 @@ func (l *Lab) Config() Config { return l.cfg }
 // (Pipeline.Clone) rather than sharing it across goroutines.
 func (l *Lab) Pipeline() *sim.Pipeline { return l.pipeline }
 
-// Oracle lazily builds the static-sweep oracle over all 27 workloads.
+// Oracle lazily builds the static-sweep oracle over every training and
+// test workload. The sweep's training-workload runs are the
+// critical-temperature sweep's runs too, so it also records that table
+// for CriticalTemps.
 func (l *Lab) Oracle() (*control.OracleTable, error) {
 	return l.oracle.get(func() (*control.OracleTable, error) {
 		return labCell(l, "oracle-table", []string{"oracle"}, encodeOracle, decodeOracle,
 			func() (*control.OracleTable, error) {
 				all := append(append([]string{}, l.cfg.TrainNames...), l.cfg.TestNames...)
-				return engine.BuildOracleContext(l.ctx, l.pipeline, all, l.cfg.Frequencies, l.cfg.StepsPerRun, l.cfg.Workers)
+				ot, ct, err := engine.BuildOracleCriticalTempsContext(l.ctx, l.pipeline, all, l.cfg.Frequencies,
+					l.cfg.StepsPerRun, l.cfg.Workers, l.cfg.TrainNames, l.cfg.SensorIndex)
+				if err != nil {
+					return nil, err
+				}
+				l.sweptCrit.Store(ct)
+				return ot, nil
 			})
 	})
 }
 
-// CriticalTemps lazily builds the training-set threshold table.
+// CriticalTemps lazily builds the training-set threshold table: from the
+// oracle sweep's runs when this Lab has swept them, else with a sweep of
+// its own (a campaign that never builds the oracle, or replays it from a
+// checkpoint). Both give the same table.
 func (l *Lab) CriticalTemps() (*control.CriticalTemps, error) {
 	return l.critTemps.get(func() (*control.CriticalTemps, error) {
 		return labCell(l, "critical-temps", []string{"crittemps"}, encodeCritTemps, decodeCritTemps,
 			func() (*control.CriticalTemps, error) {
+				if ct := l.sweptCrit.Load(); ct != nil {
+					return ct, nil
+				}
+				l.critSweeps++
 				return engine.BuildCriticalTempsContext(l.ctx, l.pipeline, l.cfg.TrainNames,
 					l.cfg.Frequencies, l.cfg.StepsPerRun, l.cfg.SensorIndex, l.cfg.Workers)
 			})
