@@ -11,7 +11,7 @@ GO ?= go
 GOFMT ?= gofmt
 SCENARIO := examples/platforms/mobile-7nm.json
 
-.PHONY: all fmt-check build vet test race fuzz-smoke bench-trace-smoke bench-warmstart-smoke bench-gbt-smoke bench-engine-smoke smoke soak-smoke serve-smoke loadtest-smoke ci bench bench-parallel bench-gbt bench-engine bench-serve bench-loadtest clean
+.PHONY: all fmt-check build vet test race fuzz-smoke bench-trace-smoke bench-warmstart-smoke bench-gbt-smoke bench-engine-smoke smoke soak-smoke serve-smoke loadtest-smoke ci bench bench-parallel bench-gbt bench-engine bench-loadtest clean
 
 all: build
 
@@ -39,7 +39,8 @@ race:
 # supplied bytes: the model deserializer and the daemon's decide
 # endpoint (which must answer 200 or 400, never panic or 500); and
 # differential fuzzes of the decide request scanner against the
-# encoding/json decoder it falls back to, of the recency-ordered cache
+# encoding/json decoder it falls back to, of the scanner's one-pass
+# number conversion against strconv.ParseFloat, of the recency-ordered cache
 # against the timestamp-LRU reference it replaced, of the exact GBT
 # trainer against the map-based trainer it replaced, of the
 # skewed-band steady-state solver against the row-major one it replaced,
@@ -49,6 +50,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzLoadModel -fuzztime=10s ./internal/ml/gbt
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeDecideRequest -fuzztime=10s ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzDecideDecoderMatchesJSON -fuzztime=10s ./internal/serve
+	$(GO) test -run='^$$' -fuzz=FuzzScanNumberMatchesParseFloat -fuzztime=10s ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzCacheMatchesStampLRU -fuzztime=10s ./internal/arch
 	$(GO) test -run='^$$' -fuzz=FuzzExactMatchesMapReference -fuzztime=10s ./internal/ml/gbt
 	$(GO) test -run='^$$' -fuzz=FuzzSteadyStateMatchesReference -fuzztime=10s ./internal/thermal
@@ -161,11 +163,6 @@ bench-gbt:
 # walk, the zero-alloc Session.Decide path, and fleet scaling).
 bench-engine:
 	BENCH_ENGINE=1 $(GO) test -run TestWriteBenchEngineArtefact -timeout 30m -v .
-
-# Refresh BENCH_serve.json (in-process registry decide vs single vs
-# batched HTTP decide throughput; steady-state allocs per op).
-bench-serve:
-	BENCH_SERVE=1 $(GO) test -run TestWriteBenchServeArtefact -timeout 30m -v .
 
 # Refresh BENCH_loadtest.json: a full load-replay run against an
 # in-process daemon (16 chips x 50 ticks), whose JSON report carries the

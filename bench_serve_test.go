@@ -1,21 +1,13 @@
-// Serving-layer benches: the decision daemon's hot paths, measured on
-// the trained quick-campaign model — the registry's in-process decide,
-// and the HTTP round trip in single and batched form. Batched requests
-// amortise the HTTP/JSON overhead across many chips, which is the
-// deployment argument the artefact quantifies.
+// Serving-layer bench and zero-alloc pin: the registry's in-process
+// decide on the trained quick-campaign model. The HTTP handler's single
+// and batched costs are perfbench ledger rows (serve.handler_single_us,
+// serve.handler_batch_us).
 //
 //	go test -bench='^BenchmarkRegistryDecide' -benchmem .
-//	make bench-serve    # refresh BENCH_serve.json
 package boreas_test
 
 import (
-	"encoding/json"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
-	"os"
-	"runtime"
-	"strings"
 	"testing"
 
 	"github.com/hotgauge/boreas/internal/serve"
@@ -57,8 +49,7 @@ func BenchmarkRegistryDecide(b *testing.B) {
 
 // TestRegistryDecideZeroAllocEndToEnd pins the deployed serving path —
 // trained model, session registry, metrics — at zero heap allocations
-// per steady-state decision. This is the regular-CI guard behind the
-// BENCH_serve.json numbers.
+// per steady-state decision.
 func TestRegistryDecideZeroAllocEndToEnd(t *testing.T) {
 	reg := serveBenchRegistry(t)
 	obs := engineBenchObservations(t)
@@ -88,134 +79,4 @@ func serveBenchChips(n int) []string {
 		chips[i] = fmt.Sprintf("chip-%03d", i)
 	}
 	return chips
-}
-
-// serveBenchBody renders a /v1/decide payload: a single observation
-// when batch is 1, else a batch across the chips.
-func serveBenchBody(tb testing.TB, chips []string, obs []serve.Observation, batch, round int) string {
-	tb.Helper()
-	var req serve.DecideRequest
-	if batch == 1 {
-		req.Chip = chips[round%len(chips)]
-		o := obs[round%len(obs)]
-		req.Observation = &o
-	} else {
-		req.Batch = make([]serve.DecideItem, batch)
-		for i := range req.Batch {
-			req.Batch[i] = serve.DecideItem{
-				Chip:        chips[(round*batch+i)%len(chips)],
-				Observation: obs[(round*batch+i)%len(obs)],
-			}
-		}
-	}
-	data, err := json.Marshal(req)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return string(data)
-}
-
-// TestWriteBenchServeArtefact measures the serving layer — in-process
-// registry decide, single-request HTTP decide, and batched HTTP decide —
-// and records the result in BENCH_serve.json. Gated behind an env var so
-// the regular test run stays fast:
-//
-//	BENCH_SERVE=1 go test -run TestWriteBenchServeArtefact .
-func TestWriteBenchServeArtefact(t *testing.T) {
-	if os.Getenv("BENCH_SERVE") == "" {
-		t.Skip("set BENCH_SERVE=1 to refresh BENCH_serve.json")
-	}
-	reg := serveBenchRegistry(t)
-	rawObs := engineBenchObservations(t)
-	wireObs := make([]serve.Observation, len(rawObs))
-	for i, o := range rawObs {
-		wireObs[i] = serve.Observation{SensorTemp: o.SensorTemp, Counters: o.Counters}
-	}
-	chips := serveBenchChips(64)
-
-	// In-process decide: the floor every HTTP number is compared against.
-	for i := 0; i < 3*len(rawObs); i++ {
-		if _, err := reg.Decide(chips[i%len(chips)], rawObs[i%len(rawObs)]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	direct := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			d, err := reg.Decide(chips[i%len(chips)], rawObs[i%len(rawObs)])
-			if err != nil {
-				b.Fatal(err)
-			}
-			benchDecideSink = d.Freq
-		}
-	})
-	if direct.AllocsPerOp() != 0 {
-		t.Errorf("Registry.Decide allocates %d objects/op, the artefact pins 0", direct.AllocsPerOp())
-	}
-
-	srv := httptest.NewServer(serve.NewHandler(reg))
-	defer srv.Close()
-	client := srv.Client()
-	post := func(body string) {
-		resp, err := client.Post(srv.URL+"/v1/decide", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("decide status %d", resp.StatusCode)
-		}
-		resp.Body.Close()
-	}
-
-	const batchSize = 256
-	// Pre-render bodies so the measurement is the service, not the
-	// client-side JSON encoder.
-	singles := make([]string, 64)
-	for i := range singles {
-		singles[i] = serveBenchBody(t, chips, wireObs, 1, i)
-	}
-	batches := make([]string, 8)
-	for i := range batches {
-		batches[i] = serveBenchBody(t, chips, wireObs, batchSize, i)
-	}
-
-	single := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			post(singles[i%len(singles)])
-		}
-	})
-	batched := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			post(batches[i%len(batches)])
-		}
-	})
-
-	singleNs := single.NsPerOp()
-	batchedPerDecisionNs := batched.NsPerOp() / batchSize
-	artefact := map[string]any{
-		"cpus":                          runtime.NumCPU(),
-		"chips":                         len(chips),
-		"registry_decide_ns_per_op":     direct.NsPerOp(),
-		"registry_decide_allocs_per_op": direct.AllocsPerOp(),
-		"registry_decide_bytes_per_op":  direct.AllocedBytesPerOp(),
-		"http_single_ns_per_decision":   singleNs,
-		"http_batch_size":               batchSize,
-		"http_batched_ns_per_request":   batched.NsPerOp(),
-		"http_batched_ns_per_decision":  batchedPerDecisionNs,
-		"batched_speedup_per_decision":  float64(singleNs) / float64(batchedPerDecisionNs),
-		"single_decisions_per_second":   1e9 / float64(singleNs),
-		"batched_decisions_per_second":  1e9 / float64(batchedPerDecisionNs),
-		"zero_alloc_pinned_by":          "TestRegistryDecideZeroAllocEndToEnd, TestRegistryDecideZeroAlloc",
-		"controller":                    "ML05 (quick campaign)",
-	}
-	data, err := json.MarshalIndent(artefact, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_serve.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("registry decide %d ns/op (%d allocs); HTTP single %d ns/decision, batched(%d) %d ns/decision (%.1fx)",
-		direct.NsPerOp(), direct.AllocsPerOp(), singleNs, batchSize, batchedPerDecisionNs,
-		float64(singleNs)/float64(batchedPerDecisionNs))
 }

@@ -50,8 +50,7 @@ type Predictor struct {
 	// is allocation-free. A Predictor is therefore NOT safe for
 	// concurrent use; run concurrent chips on Clone()s (the trained
 	// model and its compiled form are immutable and shared).
-	full []float64
-	row  []float64
+	row []float64
 }
 
 // vf resolves the predictor's operating curve.
@@ -97,7 +96,7 @@ func NewPredictor(model *gbt.Model) (*Predictor, error) {
 // scratch, safe to use concurrently with p.
 func (p *Predictor) Clone() *Predictor {
 	n := *p
-	n.full, n.row = nil, nil
+	n.row = nil
 	return &n
 }
 
@@ -126,16 +125,9 @@ func (p *Predictor) Model() *gbt.Model { return p.model }
 func (p *Predictor) Compiled() *gbt.Compiled { return p.compiled }
 
 // features builds the model's input row from raw telemetry into the
-// predictor's scratch buffers.
+// predictor's scratch buffer, computing only the model's features.
 func (p *Predictor) features(k arch.Counters, sensorTemp float64) []float64 {
-	p.full = telemetry.ExtractInto(p.full, k, sensorTemp)
-	if cap(p.row) < len(p.cols) {
-		p.row = make([]float64, len(p.cols))
-	}
-	p.row = p.row[:len(p.cols)]
-	for i, c := range p.cols {
-		p.row[i] = p.full[c]
-	}
+	p.row = telemetry.Columns(p.row, p.cols, k, sensorTemp)
 	return p.row
 }
 

@@ -276,63 +276,102 @@ func (s *scanner) str() ([]byte, bool) {
 }
 
 // number scans a number matching the JSON grammar exactly,
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and parses it as
-// encoding/json does. The grammar check comes first because
-// strconv.ParseFloat also accepts forms JSON does not ("+1", ".5",
-// "0x1p3", "1_0", "inf"); a value out of float64 range is declined.
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and converts it as
+// encoding/json does, with strconv.ParseFloat; a value out of float64
+// range is declined. readNumber checks the grammar and gathers the
+// significand and exponent in one pass, and decimalToFloat converts them
+// with strconv's own exact fast paths. Whatever those cannot settle
+// exactly (over 19 significant digits, a rounding the 128-bit product
+// leaves open, a subnormal, infinite or out-of-table result) goes to
+// strconv.ParseFloat, so each value and each decline is the one
+// ParseFloat gives. The grammar check is the scanner's own because
+// ParseFloat also accepts forms JSON does not ("+1", ".5", "0x1p3",
+// "1_0", "inf").
 func (s *scanner) number() (float64, bool) {
 	s.space()
-	b, start := s.b, s.i
-	i := start
-	if at(b, i) == '-' {
-		i++
-	}
-	switch c := at(b, i); {
-	case c == '0':
-		i++
-	case '1' <= c && c <= '9':
-		i = digits(b, i)
-	default:
+	man, exp10, neg, trunc, end, ok := readNumber(s.b, s.i)
+	if !ok {
 		return 0, false
 	}
-	var ok bool
-	if at(b, i) == '.' {
-		if i, ok = someDigits(b, i+1); !ok {
-			return 0, false
+	start := s.i
+	s.i = end
+	if !trunc {
+		if f, ok := decimalToFloat(man, exp10, neg); ok {
+			return f, true
 		}
 	}
-	if c := at(b, i); c == 'e' || c == 'E' {
-		i++
-		if c := at(b, i); c == '+' || c == '-' {
-			i++
-		}
-		if i, ok = someDigits(b, i); !ok {
-			return 0, false
-		}
-	}
-	s.i = i
-	f, err := strconv.ParseFloat(string(b[start:i]), 64)
+	f, err := strconv.ParseFloat(string(s.b[start:end]), 64)
 	return f, err == nil
 }
 
-// digits returns the index just past the run of decimal digits at b[i:].
-func digits(b []byte, i int) int {
-	for i < len(b) && b[i]-'0' <= 9 {
+// readNumber scans the JSON number at b[i:] and returns the offset just
+// past it. The number's first 19 significant digits (10^19 fits in a
+// uint64) are man, and it equals man×10^exp10 unless trunc reports a
+// nonzero digit after them; exp10 follows strconv's readFloat, which
+// stops growing an exponent of 10000 or more, so both leave the table
+// together.
+func readNumber(b []byte, i int) (man uint64, exp10 int, neg, trunc bool, end int, ok bool) {
+	if i < len(b) && b[i] == '-' {
+		neg = true
 		i++
 	}
-	return i
-}
-
-// someDigits is digits for a run that must not be empty.
-func someDigits(b []byte, i int) (int, bool) {
-	j := digits(b, i)
-	return j, j > i
-}
-
-// at returns b[i], or 0 past the end of b.
-func at(b []byte, i int) byte {
-	if i < len(b) {
-		return b[i]
+	if i == len(b) {
+		return
 	}
-	return 0
+	nd := 0 // significant digits in man
+	switch c := b[i]; {
+	case c == '0':
+		i++
+	case '1' <= c && c <= '9':
+		for ; i < len(b) && b[i]-'0' <= 9; i++ {
+			if nd < 19 {
+				man = man*10 + uint64(b[i]-'0')
+				nd++
+			} else {
+				exp10++
+				trunc = trunc || b[i] != '0'
+			}
+		}
+	default:
+		return
+	}
+	if i < len(b) && b[i] == '.' {
+		i++
+		first := i
+		for ; i < len(b) && b[i]-'0' <= 9; i++ {
+			if nd < 19 {
+				man = man*10 + uint64(b[i]-'0')
+				exp10--
+				if man != 0 {
+					nd++
+				}
+			} else {
+				trunc = trunc || b[i] != '0'
+			}
+		}
+		if i == first {
+			return
+		}
+	}
+	if i < len(b) && b[i]|0x20 == 'e' {
+		i++
+		sign := 1
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			if b[i] == '-' {
+				sign = -1
+			}
+			i++
+		}
+		first, e := i, 0
+		for ; i < len(b) && b[i]-'0' <= 9; i++ {
+			if e < 10000 {
+				e = e*10 + int(b[i]-'0')
+			}
+		}
+		if i == first {
+			return
+		}
+		exp10 += sign * e
+	}
+	return man, exp10, neg, trunc, i, true
 }

@@ -207,6 +207,21 @@ func ExtractInto(dst []float64, k arch.Counters, sensorTemp float64) []float64 {
 	return dst
 }
 
+// Columns computes the features at the FeatureIndex columns cols, in
+// that order, into dst, growing it only if its capacity is short of
+// len(cols), and returns the filled slice: a model's input row, without
+// the features the model does not use.
+func Columns(dst []float64, cols []int, k arch.Counters, sensorTemp float64) []float64 {
+	if cap(dst) < len(cols) {
+		dst = make([]float64, len(cols))
+	}
+	dst = dst[:len(cols)]
+	for i, c := range cols {
+		dst[i] = featureDefs[c].get(k, sensorTemp)
+	}
+	return dst
+}
+
 // TableIVFeatureNames returns the paper's top-20 attribute list (Table IV)
 // sorted from most to least important as published.
 func TableIVFeatureNames() []string {

@@ -64,6 +64,25 @@ func TestExtractSensorAndCycles(t *testing.T) {
 	}
 }
 
+// TestColumnsMatchExtract pins that a model row built from its columns
+// alone equals those columns of the full vector, in any column order,
+// and that a reused buffer costs no allocation.
+func TestColumnsMatchExtract(t *testing.T) {
+	k := arch.Counters{TotalCycles: 320000, BusyCycles: 290000, CommittedInstructions: 250000,
+		CommittedBranches: 40000, BranchMispredictions: 900, L2Accesses: 7000, L2Misses: 1200, FrequencyGHz: 4}
+	full := Extract(k, 81.5)
+	cols := []int{NumFeatures - 1, 0, 3, 3, 60, 41}
+	row := Columns(nil, cols, k, 81.5)
+	for i, c := range cols {
+		if math.Float64bits(row[i]) != math.Float64bits(full[c]) {
+			t.Errorf("column %s = %v, Extract gives %v", FullFeatureNames()[c], row[i], full[c])
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, func() { row = Columns(row, cols, k, 81.5) }); allocs != 0 {
+		t.Fatalf("Columns into a reused buffer allocates %v times, want 0", allocs)
+	}
+}
+
 func TestExtractZeroCountersNoNaN(t *testing.T) {
 	x := Extract(arch.Counters{}, 45)
 	for i, v := range x {
