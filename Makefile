@@ -11,7 +11,7 @@ GO ?= go
 GOFMT ?= gofmt
 SCENARIO := examples/platforms/mobile-7nm.json
 
-.PHONY: all fmt-check build vet test race fuzz-smoke bench-trace-smoke bench-warmstart-smoke bench-gbt-smoke bench-engine-smoke smoke soak-smoke serve-smoke loadtest-smoke ci bench bench-parallel bench-gbt bench-engine bench-loadtest clean
+.PHONY: all fmt-check build vet test race fuzz-smoke bench-trace-smoke bench-warmstart-smoke bench-gbt-smoke bench-engine-smoke smoke soak-smoke serve-smoke loadtest-smoke ci bench clean
 
 all: build
 
@@ -113,8 +113,9 @@ soak-smoke:
 	rm -rf smoke_ckpt; echo "deadline smoke: exit 3 with resumable checkpoint, as intended"
 
 # Serving smoke: start the decision daemon on a random port, hit
-# /healthz and one batched /v1/decide, scrape /metrics, SIGTERM it, and
-# assert a graceful exit 0. The same contract also runs as
+# /healthz and one batched /v1/decide, scrape /metrics (the decision
+# counter and the latency histogram's +Inf bucket and count must all read
+# 2), SIGTERM it, and assert a graceful exit 0. The same contract also runs as
 # TestServeSmoke; this target drives it through the shell the way an
 # operator would.
 serve-smoke:
@@ -126,10 +127,13 @@ serve-smoke:
 	[ -n "$$addr" ] || fail "daemon never announced its address"; \
 	curl -sf "http://$$addr/healthz" | grep -q '"ok"' || fail "healthz failed"; \
 	curl -sf -X POST "http://$$addr/v1/decide" -d '{"batch":[{"chip":"c0","observation":{"sensor_temp":55}},{"chip":"c1","observation":{"sensor_temp":60}}]}' | grep -q '"decisions"' || fail "batched decide failed"; \
-	curl -sf "http://$$addr/metrics" | grep -q 'boreas_decisions_total 2' || fail "metrics do not reflect the decisions"; \
+	metrics=$$(curl -sf "http://$$addr/metrics"); \
+	echo "$$metrics" | grep -q 'boreas_decisions_total 2' || fail "metrics do not reflect the decisions"; \
+	echo "$$metrics" | grep -q 'boreas_decide_latency_seconds_bucket{le="+Inf"} 2' || fail "latency +Inf bucket does not count the decisions"; \
+	echo "$$metrics" | grep -q 'boreas_decide_latency_seconds_count 2' || fail "latency count does not reflect the decisions"; \
 	kill -TERM $$pid; wait $$pid; code=$$?; \
 	[ $$code -eq 0 ] || fail "exit $$code after SIGTERM, want 0"; \
-	rm -f smoke_serve smoke_serve.log; echo "serve smoke: healthz + batched decide + metrics + graceful SIGTERM, as intended"
+	rm -f smoke_serve smoke_serve.log; echo "serve smoke: healthz + batched decide + metrics + latency histogram + graceful SIGTERM, as intended"
 
 # Load-replay smoke: the harness boots a private in-process daemon,
 # serves ~200 decisions across 2 synthetic chips, and must report zero
@@ -149,30 +153,6 @@ ci: fmt-check build vet test race fuzz-smoke bench-trace-smoke bench-warmstart-s
 
 bench:
 	$(GO) test -bench=. -benchmem .
-
-# Refresh BENCH_parallel.json (sequential vs parallel campaign timings).
-bench-parallel:
-	BENCH_PARALLEL=1 $(GO) test -run TestWriteBenchParallelArtefact -v .
-
-# Refresh BENCH_gbt.json (exact vs histogram-binned GBT training on the
-# full telemetry dataset).
-bench-gbt:
-	BENCH_GBT=1 $(GO) test -run TestWriteBenchGBTArtefact -timeout 60m -v .
-
-# Refresh BENCH_engine.json (compiled flat-tree inference vs the pointer
-# walk, the zero-alloc Session.Decide path, and fleet scaling).
-bench-engine:
-	BENCH_ENGINE=1 $(GO) test -run TestWriteBenchEngineArtefact -timeout 30m -v .
-
-# Refresh BENCH_loadtest.json: a full load-replay run against an
-# in-process daemon (16 chips x 50 ticks), whose JSON report carries the
-# latency percentile table, throughput, and the replay digest.
-bench-loadtest:
-	@$(GO) build -o bench_loadtest ./cmd/boreas; \
-	./bench_loadtest loadtest -chips 16 -ticks 50 -seed 1 -out BENCH_loadtest.json > /dev/null; \
-	code=$$?; rm -f bench_loadtest; \
-	if [ $$code -ne 0 ]; then echo "bench-loadtest: exit $$code"; exit 1; fi; \
-	echo "bench-loadtest: wrote BENCH_loadtest.json"
 
 clean:
 	$(GO) clean ./...

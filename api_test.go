@@ -1,6 +1,7 @@
 package boreas_test
 
 import (
+	"context"
 	"testing"
 
 	"github.com/hotgauge/boreas"
@@ -67,7 +68,7 @@ func TestAPIEndToEnd(t *testing.T) {
 	bc.Sim = apiSimConfig()
 	bc.StepsPerRun = 48
 	bc.Horizon = 12
-	ds, err := boreas.BuildDataset(bc)
+	ds, err := boreas.BuildDataset(context.Background(), bc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestAPIThermalBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := boreas.BuildCriticalTemps(pipe, []string{"calculix"}, []float64{3.75, 4.25}, 36, boreas.DefaultSensorIndex)
+	ct, err := boreas.BuildCriticalTemps(context.Background(), pipe, []string{"calculix"}, []float64{3.75, 4.25}, 36, boreas.DefaultSensorIndex, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestAPIThermalBaseline(t *testing.T) {
 	if th.Name() != "TH-00" {
 		t.Fatalf("name %s", th.Name())
 	}
-	ot, err := boreas.BuildOracle(pipe, []string{"calculix"}, []float64{3.75, 4.25}, 36)
+	ot, err := boreas.BuildOracle(context.Background(), pipe, []string{"calculix"}, []float64{3.75, 4.25}, 36, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,15 +7,10 @@
 // flatter either predict path.
 //
 //	go test -bench='^BenchmarkSessionDecide' -benchmem .
-//	make bench-engine    # refresh BENCH_engine.json
 package boreas_test
 
 import (
-	"context"
-	"encoding/json"
 	"math"
-	"os"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -143,8 +138,9 @@ func BenchmarkSessionDecideParallel(b *testing.B) {
 
 // TestSessionDecideZeroAllocEndToEnd pins the full served decide path —
 // trained model, feature extraction, what-if probe — at zero heap
-// allocations per decision. This is the regular-CI guard behind the
-// BENCH_engine.json numbers.
+// allocations per decision. The perfbench rows
+// engine.session_decide_ml05_us and engine.session_decide_th_us time the
+// same path.
 func TestSessionDecideZeroAllocEndToEnd(t *testing.T) {
 	l := benchLab(t)
 	obs := engineBenchObservations(t)
@@ -170,16 +166,14 @@ func TestSessionDecideZeroAllocEndToEnd(t *testing.T) {
 	}
 }
 
-// TestWriteBenchEngineArtefact measures the engine hot path on the
-// trained quick-campaign model and records the result in
-// BENCH_engine.json. Gated behind an env var so the regular test run
-// stays fast:
-//
-//	BENCH_ENGINE=1 go test -run TestWriteBenchEngineArtefact .
-func TestWriteBenchEngineArtefact(t *testing.T) {
-	if os.Getenv("BENCH_ENGINE") == "" {
-		t.Skip("set BENCH_ENGINE=1 to refresh BENCH_engine.json")
-	}
+// TestCompiledPredictMatchesPointerOnTelemetry checks, bit for bit, that
+// the compiled flat-tree kernel the served decide path runs agrees with
+// the pointer walk on the trained quick-campaign model: over every
+// harvested observation, and over 512 span rows drawn uniformly across
+// each feature's observed range. A single chip's telemetry clusters
+// tightly (the model splits mostly on the sensor temperature); the span
+// rows reach the branches a heterogeneous fleet would.
+func TestCompiledPredictMatchesPointerOnTelemetry(t *testing.T) {
 	l := benchLab(t)
 	obs := engineBenchObservations(t)
 	pred, err := l.Predictor()
@@ -194,24 +188,20 @@ func TestWriteBenchEngineArtefact(t *testing.T) {
 
 	// Project the observations onto the model's feature schema once; both
 	// predict paths then score identical rows.
+	cols := make([]int, len(model.FeatureNames))
+	for j, name := range model.FeatureNames {
+		if cols[j], err = telemetry.FeatureIndex(name); err != nil {
+			t.Fatal(err)
+		}
+	}
 	rows := make([][]float64, len(obs))
 	for i, o := range obs {
 		full := telemetry.Extract(o.Counters, o.SensorTemp)
-		row := make([]float64, len(model.FeatureNames))
-		for j, name := range model.FeatureNames {
-			col, err := telemetry.FeatureIndex(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			row[j] = full[col]
+		rows[i] = make([]float64, len(cols))
+		for j, col := range cols {
+			rows[i][j] = full[col]
 		}
-		rows[i] = row
 	}
-	// Span rows: uniform samples over each feature's observed range. A
-	// single chip's telemetry clusters tightly (the model splits mostly
-	// on the sensor temperature), which keeps the pointer walk's branches
-	// predictable; a heterogeneous fleet spans the space and exposes the
-	// walk's misprediction cost. Both regimes are measured below.
 	mins := append([]float64(nil), rows[0]...)
 	maxs := append([]float64(nil), rows[0]...)
 	for _, row := range rows {
@@ -221,121 +211,17 @@ func TestWriteBenchEngineArtefact(t *testing.T) {
 		}
 	}
 	span := rng.New(7)
-	spanRows := make([][]float64, 512)
-	for i := range spanRows {
+	for range 512 {
 		row := make([]float64, len(mins))
 		for j := range row {
 			row[j] = mins[j] + span.Float64()*(maxs[j]-mins[j])
 		}
-		spanRows[i] = row
+		rows = append(rows, row)
 	}
-	for i, row := range append(append([][]float64(nil), rows...), spanRows...) {
-		if got, want := compiled.Predict(row), model.Predict(row); got != want {
+	for i, row := range rows {
+		got, want := compiled.Predict(row), model.Predict(row)
+		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("row %d: compiled %v != pointer walk %v", i, got, want)
 		}
 	}
-
-	pointer := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			benchDecideSink = model.Predict(spanRows[i%len(spanRows)])
-		}
-	})
-	flat := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			benchDecideSink = compiled.Predict(spanRows[i%len(spanRows)])
-		}
-	})
-	pointerTel := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			benchDecideSink = model.Predict(rows[i%len(rows)])
-		}
-	})
-	flatTel := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			benchDecideSink = compiled.Predict(rows[i%len(rows)])
-		}
-	})
-
-	ml05, err := l.MLController(0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := engine.NewSession(engine.SessionConfig{Controller: ml05, StartFreq: 3.75})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3*len(obs); i++ {
-		benchDecideSink = sess.Decide(obs[i%len(obs)]).Freq
-	}
-	decide := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			benchDecideSink = sess.Decide(obs[i%len(obs)]).Freq
-		}
-	})
-	if decide.AllocsPerOp() != 0 {
-		t.Errorf("Session.Decide allocates %d objects/op, the artefact pins 0", decide.AllocsPerOp())
-	}
-
-	// A small fleet on the quick campaign: same model, N chips, recorded
-	// at serial and full parallelism to show the scaling headroom.
-	fleetCfg := engine.FleetConfig{
-		Chips:      8,
-		Workloads:  l.Config().TestNames,
-		Controller: ml05,
-		Loop:       engine.LoopConfig{Steps: 72, DecisionPeriod: 12, StartFreq: 3.75, SensorIndex: sim.DefaultSensorIndex},
-		Seed:       1,
-	}
-	fleetSerial := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			cfg := fleetCfg
-			cfg.Workers = 1
-			if _, err := engine.RunFleet(context.Background(), l.Pipeline(), cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	fleetParallel := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			cfg := fleetCfg
-			cfg.Workers = 0 // one per CPU
-			if _, err := engine.RunFleet(context.Background(), l.Pipeline(), cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	speedup := float64(pointer.NsPerOp()) / float64(flat.NsPerOp())
-	artefact := map[string]any{
-		"cpus":                                 runtime.NumCPU(),
-		"observations":                         len(obs),
-		"model_trees":                          compiled.NumTrees(),
-		"model_nodes":                          compiled.NumNodes(),
-		"compiled_bytes":                       compiled.SizeBytes(),
-		"compiled_fixed_depth":                 compiled.Steps(),
-		"pointer_predict_ns_per_op":            pointer.NsPerOp(),
-		"compiled_predict_ns_per_op":           flat.NsPerOp(),
-		"compiled_speedup":                     speedup,
-		"pointer_predict_telemetry_ns_per_op":  pointerTel.NsPerOp(),
-		"compiled_predict_telemetry_ns_per_op": flatTel.NsPerOp(),
-		"compiled_speedup_telemetry":           float64(pointerTel.NsPerOp()) / float64(flatTel.NsPerOp()),
-		"decide_ns_per_op":                     decide.NsPerOp(),
-		"decide_allocs_per_op":                 decide.AllocsPerOp(),
-		"decide_bytes_per_op":                  decide.AllocedBytesPerOp(),
-		"fleet_chips":                          fleetCfg.Chips,
-		"fleet_serial_ns_per_run":              fleetSerial.NsPerOp(),
-		"fleet_parallel_ns_per_run":            fleetParallel.NsPerOp(),
-		"fleet_parallel_speedup":               float64(fleetSerial.NsPerOp()) / float64(fleetParallel.NsPerOp()),
-		"identity_verified_by":                 "FuzzCompiledPredict, TestConcurrentSessionsShareCompiledModel, row check in this test",
-	}
-	data, err := json.MarshalIndent(artefact, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_engine.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("decide: %d ns/op, %d allocs/op; compiled predict %.2fx over pointer walk; fleet x%d %.2fx at full parallelism",
-		decide.NsPerOp(), decide.AllocsPerOp(), speedup,
-		fleetCfg.Chips, float64(fleetSerial.NsPerOp())/float64(fleetParallel.NsPerOp()))
 }

@@ -23,7 +23,7 @@
 //
 // A minimal end-to-end use looks like:
 //
-//	ds, _ := boreas.BuildDataset(boreas.DefaultBuildConfig(boreas.TrainWorkloads(), boreas.Frequencies()))
+//	ds, _ := boreas.BuildDataset(context.Background(), boreas.DefaultBuildConfig(boreas.TrainWorkloads(), boreas.Frequencies()))
 //	pred, _ := boreas.TrainPredictor(ds, boreas.DefaultTrainConfig())
 //	ctrl, _ := boreas.NewMLController(pred, 0.05) // ML05
 //	pipe, _ := boreas.NewPipeline(boreas.DefaultSimConfig())
@@ -219,20 +219,14 @@ func DefaultWalkConfig(workloads []string, freqs []float64) WalkConfig {
 
 // BuildDataset runs a static extraction campaign (cfg.Workers runs in
 // flight).
-func BuildDataset(cfg BuildConfig) (*Dataset, error) { return telemetry.Build(cfg) }
-
-// BuildDatasetContext is BuildDataset with cancellation.
-func BuildDatasetContext(ctx context.Context, cfg BuildConfig) (*Dataset, error) {
-	return telemetry.BuildContext(ctx, cfg)
+func BuildDataset(ctx context.Context, cfg BuildConfig) (*Dataset, error) {
+	return telemetry.Build(ctx, cfg)
 }
 
 // BuildWalkDataset runs a frequency-walk extraction campaign (cfg.Workers
 // runs in flight).
-func BuildWalkDataset(cfg WalkConfig) (*Dataset, error) { return telemetry.BuildWalk(cfg) }
-
-// BuildWalkDatasetContext is BuildWalkDataset with cancellation.
-func BuildWalkDatasetContext(ctx context.Context, cfg WalkConfig) (*Dataset, error) {
-	return telemetry.BuildWalkContext(ctx, cfg)
+func BuildWalkDataset(ctx context.Context, cfg WalkConfig) (*Dataset, error) {
+	return telemetry.BuildWalk(ctx, cfg)
 }
 
 // FeatureNames returns the full 78-feature telemetry vocabulary.
@@ -354,15 +348,10 @@ func RunFleet(ctx context.Context, p *Pipeline, cfg FleetConfig) (*FleetResult, 
 	return engine.RunFleet(ctx, p, cfg)
 }
 
-// BuildCriticalTemps extracts the thermal-threshold table from sweeps.
-func BuildCriticalTemps(p *Pipeline, workloads []string, freqs []float64, steps, sensorIndex int) (*CriticalTemps, error) {
-	return engine.BuildCriticalTemps(p, workloads, freqs, steps, sensorIndex)
-}
-
-// BuildCriticalTempsContext is BuildCriticalTemps with cancellation and a
-// worker count (0 or negative: one per CPU).
-func BuildCriticalTempsContext(ctx context.Context, p *Pipeline, workloads []string, freqs []float64, steps, sensorIndex, workers int) (*CriticalTemps, error) {
-	return engine.BuildCriticalTempsContext(ctx, p, workloads, freqs, steps, sensorIndex, workers)
+// BuildCriticalTemps extracts the thermal-threshold table from sweeps
+// run on workers pipeline clones (0 or negative: one per CPU).
+func BuildCriticalTemps(ctx context.Context, p *Pipeline, workloads []string, freqs []float64, steps, sensorIndex, workers int) (*CriticalTemps, error) {
+	return engine.BuildCriticalTemps(ctx, p, workloads, freqs, steps, sensorIndex, workers)
 }
 
 // NewThermalController builds a TH-xx controller.
@@ -375,21 +364,17 @@ func NewThermalController(table *CriticalTemps, relax float64) *ThermalControlle
 // the calibration workloads. The answer is that of running every
 // workload's closed loop at margin 0, 1, 2, ...; a loop also settles the
 // later margins whose decisions agree with it at every decision point,
-// so no trajectory is simulated twice. cfg must carry no fault tap.
-func CalibrateThermalMargin(p *Pipeline, table *CriticalTemps, workloads []string, cfg LoopConfig, maxMargin float64) (*ThermalController, error) {
-	return engine.CalibrateThermalMargin(p, table, workloads, cfg, maxMargin)
+// so no trajectory is simulated twice. The loops run on workers pipeline
+// clones (0 or negative: one per CPU); cfg must carry no fault tap.
+func CalibrateThermalMargin(ctx context.Context, p *Pipeline, table *CriticalTemps, workloads []string, cfg LoopConfig, maxMargin float64, workers int) (*ThermalController, error) {
+	return engine.CalibrateThermalMargin(ctx, p, table, workloads, cfg, maxMargin, workers)
 }
 
 // BuildOracle sweeps every workload over every frequency with perfect
-// knowledge (the upper bound of Fig 2).
-func BuildOracle(p *Pipeline, workloads []string, freqs []float64, steps int) (*OracleTable, error) {
-	return engine.BuildOracle(p, workloads, freqs, steps)
-}
-
-// BuildOracleContext is BuildOracle with cancellation and a worker count
-// (0 or negative: one per CPU).
-func BuildOracleContext(ctx context.Context, p *Pipeline, workloads []string, freqs []float64, steps, workers int) (*OracleTable, error) {
-	return engine.BuildOracleContext(ctx, p, workloads, freqs, steps, workers)
+// knowledge (the upper bound of Fig 2), on workers pipeline clones (0 or
+// negative: one per CPU).
+func BuildOracle(ctx context.Context, p *Pipeline, workloads []string, freqs []float64, steps, workers int) (*OracleTable, error) {
+	return engine.BuildOracle(ctx, p, workloads, freqs, steps, workers)
 }
 
 // Fault injection and the guarded fallback controller.
@@ -505,9 +490,6 @@ type (
 	// MetricsSnapshot is a JSON-safe point-in-time Metrics state; it
 	// renders as the CLI text block or Prometheus exposition.
 	MetricsSnapshot = obs.Snapshot
-	// LatencyHistogram is a fixed-bucket, allocation-free duration
-	// histogram.
-	LatencyHistogram = obs.Histogram
 )
 
 // NewDecisionRegistry builds the concurrent session registry the serve
@@ -521,7 +503,7 @@ func NewDecisionRegistry(cfg DecisionRegistryConfig) (*DecisionRegistry, error) 
 // http.Server.
 func NewServeHandler(reg *DecisionRegistry) http.Handler { return serve.NewHandler(reg) }
 
-// NewMetrics returns a Metrics with the default latency buckets.
+// NewMetrics returns a Metrics with an empty latency histogram.
 func NewMetrics() *Metrics { return obs.NewMetrics() }
 
 // Load-replay harness. RunLoadTest drives a decision daemon with a
@@ -542,11 +524,11 @@ type (
 	LoadTestTiming = loadgen.TimingReport
 	// LoadTestDivergence pinpoints one oracle mismatch (chip, tick, field).
 	LoadTestDivergence = loadgen.Divergence
-	// HDRLatencyHistogram is the log-linear latency histogram the harness
-	// records into (≤1.6% relative error, mergeable snapshots).
-	HDRLatencyHistogram = obs.HDRHistogram
-	// HDRLatencySnapshot is a point-in-time HDRLatencyHistogram state.
-	HDRLatencySnapshot = obs.HDRSnapshot
+	// HDRHistogram is the log-linear latency histogram the harness and
+	// Metrics record into (≤1.6% relative error, mergeable snapshots).
+	HDRHistogram = obs.HDRHistogram
+	// HDRSnapshot is a point-in-time HDRHistogram state.
+	HDRSnapshot = obs.HDRSnapshot
 )
 
 // RunLoadTest runs the load-replay harness against cfg.Addr, or against
@@ -566,7 +548,7 @@ func NewSyntheticThermalController(pf *Platform) Controller {
 
 // NewHDRHistogram returns an empty concurrent-safe HDR latency
 // histogram.
-func NewHDRHistogram() *HDRLatencyHistogram { return obs.NewHDRHistogram() }
+func NewHDRHistogram() *HDRHistogram { return obs.NewHDRHistogram() }
 
 // Crash-safe campaigns. A Checkpoint is a content-addressed artifact
 // store: every completed campaign cell (dataset fragment, trained model,

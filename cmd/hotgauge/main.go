@@ -89,7 +89,7 @@ func main() {
 		cfg.Checkpoint = bindStore(store, scope,
 			fmt.Sprintf("hotgauge dataset: %d workloads, %d frequencies, %d steps", len(names), len(cfg.Frequencies), *steps), ck.Resume)
 		t0 := time.Now()
-		ds, err := telemetry.BuildContext(ctx, cfg)
+		ds, err := telemetry.Build(ctx, cfg)
 		if err != nil {
 			fatal(err)
 		}
@@ -114,7 +114,7 @@ func main() {
 		cfg.Checkpoint = bindStore(store, scope,
 			fmt.Sprintf("hotgauge walk: %d workloads, %d walks each", len(names), cfg.WalksPerWorkload), ck.Resume)
 		t0 := time.Now()
-		ds, err := telemetry.BuildWalkContext(ctx, cfg)
+		ds, err := telemetry.BuildWalk(ctx, cfg)
 		if err != nil {
 			fatal(err)
 		}

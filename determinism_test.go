@@ -2,6 +2,7 @@ package boreas_test
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"testing"
 
@@ -25,7 +26,7 @@ func buildAt(t *testing.T, workers int) *boreas.Dataset {
 	t.Helper()
 	cfg := detBuildConfig()
 	cfg.Workers = workers
-	ds, err := boreas.BuildDataset(cfg)
+	ds, err := boreas.BuildDataset(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("build at -j%d: %v", workers, err)
 	}
@@ -69,7 +70,7 @@ func TestDeterminism_BuildWalkDataset(t *testing.T) {
 	run := func(workers int) *boreas.Dataset {
 		c := cfg
 		c.Workers = workers
-		ds, err := boreas.BuildWalkDataset(c)
+		ds, err := boreas.BuildWalkDataset(context.Background(), c)
 		if err != nil {
 			t.Fatalf("walk at -j%d: %v", workers, err)
 		}

@@ -115,7 +115,7 @@ func TestEquivalence_BuildDataset(t *testing.T) {
 	for _, j := range []int{1, 8} {
 		c := cfg
 		c.Workers = j
-		got, err := telemetry.Build(c)
+		got, err := telemetry.Build(context.Background(), c)
 		if err != nil {
 			t.Fatalf("streamed build at -j%d: %v", j, err)
 		}
@@ -151,7 +151,7 @@ func TestEquivalence_BuildWalkDataset(t *testing.T) {
 	for _, j := range []int{1, 8} {
 		c := cfg
 		c.Workers = j
-		got, err := telemetry.BuildWalk(c)
+		got, err := telemetry.BuildWalk(context.Background(), c)
 		if err != nil {
 			t.Fatalf("streamed walk at -j%d: %v", j, err)
 		}
@@ -244,7 +244,7 @@ func TestEquivalence_OraclePeaks(t *testing.T) {
 	}
 
 	for _, j := range []int{1, 8} {
-		table, err := engine.BuildOracleContext(context.Background(), p, workloads, freqs, steps, j)
+		table, err := engine.BuildOracle(context.Background(), p, workloads, freqs, steps, j)
 		if err != nil {
 			t.Fatalf("oracle at -j%d: %v", j, err)
 		}
@@ -301,7 +301,7 @@ func TestEquivalence_CriticalTemps(t *testing.T) {
 	}
 
 	for _, j := range []int{1, 8} {
-		ct, err := engine.BuildCriticalTempsContext(context.Background(), p, workloads, freqs, steps, sensorIndex, j)
+		ct, err := engine.BuildCriticalTemps(context.Background(), p, workloads, freqs, steps, sensorIndex, j)
 		if err != nil {
 			t.Fatalf("crit temps at -j%d: %v", j, err)
 		}
@@ -327,8 +327,8 @@ func TestEquivalence_RunLoop(t *testing.T) {
 	lc.Steps = 60
 	lc.DecisionPeriod = 12
 
-	table, err := engine.BuildCriticalTemps(p, []string{"gromacs", "gamess"},
-		[]float64{3.5, 3.75, 4.0, 4.25, 4.5}, 48, lc.SensorIndex)
+	table, err := engine.BuildCriticalTemps(context.Background(), p, []string{"gromacs", "gamess"},
+		[]float64{3.5, 3.75, 4.0, 4.25, 4.5}, 48, lc.SensorIndex, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

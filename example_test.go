@@ -1,6 +1,7 @@
 package boreas_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -74,7 +75,7 @@ func ExampleTrainPredictor() {
 	bc.Sim = cfg
 	bc.StepsPerRun = 40
 	bc.Horizon = 12
-	ds, err := boreas.BuildDataset(bc)
+	ds, err := boreas.BuildDataset(context.Background(), bc)
 	if err != nil {
 		log.Fatal(err)
 	}

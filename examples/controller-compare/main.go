@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,6 +16,7 @@ func main() {
 	trainSet := []string{"calculix", "gromacs", "namd", "perlbench", "sjeng", "mcf", "lbm", "povray"}
 	testSet := []string{"gamess", "bzip2", "hmmer"}
 
+	ctx := context.Background()
 	pipe, err := boreas.NewPipeline(boreas.DefaultSimConfig())
 	if err != nil {
 		log.Fatal(err)
@@ -23,13 +25,13 @@ func main() {
 	// Thermal baseline: critical-temperature table from training sweeps,
 	// then the smallest margin that is incursion-free on the training set.
 	fmt.Println("calibrating TH-00 (critical temperatures + safety margin)...")
-	ct, err := boreas.BuildCriticalTemps(pipe, trainSet, freqs, 100, boreas.DefaultSensorIndex)
+	ct, err := boreas.BuildCriticalTemps(ctx, pipe, trainSet, freqs, 100, boreas.DefaultSensorIndex, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
 	lc := boreas.DefaultLoopConfig()
 	lc.Steps = 100
-	th00, err := boreas.CalibrateThermalMargin(pipe, ct, trainSet, lc, 30)
+	th00, err := boreas.CalibrateThermalMargin(ctx, pipe, ct, trainSet, lc, 30, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,7 +42,7 @@ func main() {
 	bc := boreas.DefaultBuildConfig(trainSet, freqs)
 	bc.StepsPerRun = 100
 	bc.Horizon = 40
-	ds, err := boreas.BuildDataset(bc)
+	ds, err := boreas.BuildDataset(ctx, bc)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,7 +51,7 @@ func main() {
 	wc.WalksPerWorkload = 2
 	wc.HoldSteps = 50
 	wc.Horizon = 40
-	dsw, err := boreas.BuildWalkDataset(wc)
+	dsw, err := boreas.BuildWalkDataset(ctx, wc)
 	if err != nil {
 		log.Fatal(err)
 	}

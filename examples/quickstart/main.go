@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -21,7 +22,7 @@ func main() {
 	bc.StepsPerRun = 60
 	bc.Horizon = 24
 	fmt.Println("building static dataset...")
-	ds, err := boreas.BuildDataset(bc)
+	ds, err := boreas.BuildDataset(context.Background(), bc)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -32,7 +33,7 @@ func main() {
 	wc.Horizon = 24
 	wc.WalksPerWorkload = 2
 	fmt.Println("building frequency-walk dataset...")
-	dsw, err := boreas.BuildWalkDataset(wc)
+	dsw, err := boreas.BuildWalkDataset(context.Background(), wc)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package control
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -25,7 +26,7 @@ func cochranDataset(t *testing.T) *telemetry.Dataset {
 		Horizon:     12,
 		SensorIndex: sim.DefaultSensorIndex,
 	}
-	ds, err := telemetry.Build(cfg)
+	ds, err := telemetry.Build(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -313,7 +314,7 @@ func TestEndToEndTinyPipeline(t *testing.T) {
 		Horizon:     12,
 		SensorIndex: sim.DefaultSensorIndex,
 	}
-	ds, err := telemetry.Build(bc)
+	ds, err := telemetry.Build(context.Background(), bc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +324,7 @@ func TestEndToEndTinyPipeline(t *testing.T) {
 	wc.HoldSteps = 24
 	wc.Horizon = 12
 	wc.WalksPerWorkload = 2
-	dsw, err := telemetry.BuildWalk(wc)
+	dsw, err := telemetry.BuildWalk(context.Background(), wc)
 	if err != nil {
 		t.Fatal(err)
 	}

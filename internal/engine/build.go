@@ -37,15 +37,10 @@ func (o *critTempObserver) End() error { return nil }
 // and extracts critical temperatures from what the delayed sensor
 // reports, exactly as a calibration lab would: the threshold accounts for
 // sensor placement *and* delay, which is why fast-spiking workloads
-// produce brutally low thresholds at high frequency.
-func BuildCriticalTemps(p *sim.Pipeline, workloads []string, freqs []float64, steps, sensorIndex int) (*control.CriticalTemps, error) {
-	return BuildCriticalTempsContext(context.Background(), p, workloads, freqs, steps, sensorIndex, 1)
-}
-
-// BuildCriticalTempsContext fans the calibration sweep across workers
-// pipeline clones of p (0 or negative: one worker per CPU). The table is
-// identical at any worker count.
-func BuildCriticalTempsContext(ctx context.Context, p *sim.Pipeline, workloads []string, freqs []float64, steps, sensorIndex, workers int) (*control.CriticalTemps, error) {
+// produce brutally low thresholds at high frequency. The sweep fans
+// across workers pipeline clones of p (0 or negative: one worker per
+// CPU), and the table is identical at any worker count.
+func BuildCriticalTemps(ctx context.Context, p *sim.Pipeline, workloads []string, freqs []float64, steps, sensorIndex, workers int) (*control.CriticalTemps, error) {
 	if len(workloads) == 0 || len(freqs) == 0 {
 		return nil, fmt.Errorf("engine: empty workload or frequency list")
 	}
@@ -96,12 +91,7 @@ func criticalTempsTable(names []string, rows []int, freqs []float64, runs []swee
 // a threshold safe for all workloads in the training set. The result is
 // that of running every workload's closed loop at margin 0, 1, 2, ...
 // until one margin is safe for all of them; loops that would repeat a
-// run already simulated are skipped (see CalibrateThermalMarginContext).
-func CalibrateThermalMargin(p *sim.Pipeline, table *control.CriticalTemps, workloads []string, cfg LoopConfig, maxMargin float64) (*control.ThermalController, error) {
-	return CalibrateThermalMarginContext(context.Background(), p, table, workloads, cfg, maxMargin, 1)
-}
-
-// CalibrateThermalMarginContext runs the calibration loops across workers
+// run already simulated are skipped. The loops run across workers
 // pipeline clones (0 or negative: one worker per CPU).
 //
 // A margin reaches a closed loop only through the stateless
@@ -118,7 +108,7 @@ func CalibrateThermalMargin(p *sim.Pipeline, table *control.CriticalTemps, workl
 //
 // cfg must carry no fault tap: every concurrent loop shares it, and taps
 // are stateful.
-func CalibrateThermalMarginContext(ctx context.Context, p *sim.Pipeline, table *control.CriticalTemps, workloads []string, cfg LoopConfig, maxMargin float64, workers int) (*control.ThermalController, error) {
+func CalibrateThermalMargin(ctx context.Context, p *sim.Pipeline, table *control.CriticalTemps, workloads []string, cfg LoopConfig, maxMargin float64, workers int) (*control.ThermalController, error) {
 	cal, err := calibrateMargin(ctx, p, table, workloads, cfg, maxMargin, workers)
 	if err != nil {
 		return nil, err
@@ -159,7 +149,7 @@ func (c *marginCalibration) settle(i, k, incursions int) {
 	c.incursions[i][k] = incursions
 }
 
-// calibrateMargin is CalibrateThermalMarginContext keeping the table of
+// calibrateMargin is CalibrateThermalMargin keeping the table of
 // settled incursions and the run count. On error the table holds what was
 // settled before it.
 func calibrateMargin(ctx context.Context, p *sim.Pipeline, table *control.CriticalTemps, workloads []string, cfg LoopConfig, maxMargin float64, workers int) (*marginCalibration, error) {
@@ -271,17 +261,12 @@ func rideLoop(p *sim.Pipeline, name string, cfg LoopConfig, margin int, riders [
 	return ride{incursions: cs.Summary().Incursions, riders: riders}, nil
 }
 
-// BuildOracle sweeps every workload over every frequency on the calling
-// goroutine.
-func BuildOracle(p *sim.Pipeline, workloads []string, freqs []float64, steps int) (*control.OracleTable, error) {
-	return BuildOracleContext(context.Background(), p, workloads, freqs, steps, 1)
-}
-
-// BuildOracleContext fans the (workload, frequency) static sweep across
-// workers pipeline clones of p (0 or negative: one worker per CPU). The
+// BuildOracle sweeps every workload over every frequency with perfect
+// knowledge, fanning the (workload, frequency) runs across workers
+// pipeline clones of p (0 or negative: one worker per CPU). The
 // assembled table is identical at any worker count: every run fully
 // resets its pipeline, and results are keyed by their coordinates.
-func BuildOracleContext(ctx context.Context, p *sim.Pipeline, workloads []string, freqs []float64, steps, workers int) (*control.OracleTable, error) {
+func BuildOracle(ctx context.Context, p *sim.Pipeline, workloads []string, freqs []float64, steps, workers int) (*control.OracleTable, error) {
 	if len(workloads) == 0 || len(freqs) == 0 {
 		return nil, fmt.Errorf("engine: empty workload or frequency list")
 	}
@@ -292,14 +277,14 @@ func BuildOracleContext(ctx context.Context, p *sim.Pipeline, workloads []string
 	return oracleTable(workloads, freqs, runs)
 }
 
-// BuildOracleCriticalTempsContext is BuildOracleContext whose sweep also
+// BuildOracleCriticalTemps is BuildOracle whose sweep also
 // yields the critical-temperature table of critWorkloads, every one of
 // which must be among workloads, read through sensorIndex. Their runs
 // stream through the oracle's reducer and a critical-temperature
 // observer at once, so the table costs no run of its own. It equals
-// BuildCriticalTempsContext on the same pipeline, critWorkloads, freqs,
+// BuildCriticalTemps on the same pipeline, critWorkloads, freqs,
 // steps and sensor bit for bit: the runs are the same.
-func BuildOracleCriticalTempsContext(ctx context.Context, p *sim.Pipeline, workloads []string, freqs []float64, steps, workers int, critWorkloads []string, sensorIndex int) (*control.OracleTable, *control.CriticalTemps, error) {
+func BuildOracleCriticalTemps(ctx context.Context, p *sim.Pipeline, workloads []string, freqs []float64, steps, workers int, critWorkloads []string, sensorIndex int) (*control.OracleTable, *control.CriticalTemps, error) {
 	if len(workloads) == 0 || len(freqs) == 0 || len(critWorkloads) == 0 {
 		return nil, nil, fmt.Errorf("engine: empty workload or frequency list")
 	}

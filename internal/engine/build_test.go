@@ -13,8 +13,8 @@ import (
 
 func smallTable(t *testing.T, p *sim.Pipeline) *control.CriticalTemps {
 	t.Helper()
-	ct, err := BuildCriticalTemps(p, []string{"calculix", "gamess"},
-		[]float64{3.75, 4.25, 4.75}, 60, sim.DefaultSensorIndex)
+	ct, err := BuildCriticalTemps(context.Background(), p, []string{"calculix", "gamess"},
+		[]float64{3.75, 4.25, 4.75}, 60, sim.DefaultSensorIndex, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,10 +46,10 @@ func TestBuildCriticalTempsShape(t *testing.T) {
 
 func TestBuildCriticalTempsErrors(t *testing.T) {
 	p := fastSim(t)
-	if _, err := BuildCriticalTemps(p, nil, []float64{3.75}, 10, 0); err == nil {
+	if _, err := BuildCriticalTemps(context.Background(), p, nil, []float64{3.75}, 10, 0, 1); err == nil {
 		t.Fatal("expected empty-workloads error")
 	}
-	if _, err := BuildCriticalTemps(p, []string{"gamess"}, []float64{3.75}, 10, 99); err == nil {
+	if _, err := BuildCriticalTemps(context.Background(), p, []string{"gamess"}, []float64{3.75}, 10, 99, 1); err == nil {
 		t.Fatal("expected sensor-index error")
 	}
 }
@@ -58,14 +58,14 @@ func TestThermalLoopSafeOnTrainingWorkload(t *testing.T) {
 	// The TH-00 controller built from a table covering the workload must
 	// keep it free of incursions in the closed loop.
 	p := fastSim(t)
-	ct, err := BuildCriticalTemps(p, []string{"calculix", "gamess", "gromacs"},
-		p.VF().FrequencySteps(), 60, sim.DefaultSensorIndex)
+	ct, err := BuildCriticalTemps(context.Background(), p, []string{"calculix", "gamess", "gromacs"},
+		p.VF().FrequencySteps(), 60, sim.DefaultSensorIndex, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultLoopConfig()
 	cfg.Steps = 72
-	th, err := CalibrateThermalMargin(p, ct, []string{"calculix", "gamess", "gromacs"}, cfg, 30)
+	th, err := CalibrateThermalMargin(context.Background(), p, ct, []string{"calculix", "gamess", "gromacs"}, cfg, 30, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestThermalLoopSafeOnTrainingWorkload(t *testing.T) {
 func TestOracleTable(t *testing.T) {
 	p := fastSim(t)
 	freqs := []float64{3.75, 4.25, 4.75}
-	ot, err := BuildOracle(p, []string{"calculix", "omnetpp"}, freqs, 60)
+	ot, err := BuildOracle(context.Background(), p, []string{"calculix", "omnetpp"}, freqs, 60, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestOracleTable(t *testing.T) {
 
 func TestBuildOracleErrors(t *testing.T) {
 	p := fastSim(t)
-	if _, err := BuildOracle(p, nil, []float64{3.75}, 10); err == nil {
+	if _, err := BuildOracle(context.Background(), p, nil, []float64{3.75}, 10, 1); err == nil {
 		t.Fatal("expected empty error")
 	}
 }
@@ -167,7 +167,7 @@ func engineCochranDataset(t *testing.T) *telemetry.Dataset {
 		Horizon:     12,
 		SensorIndex: sim.DefaultSensorIndex,
 	}
-	ds, err := telemetry.Build(cfg)
+	ds, err := telemetry.Build(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,8 +177,8 @@ func engineCochranDataset(t *testing.T) *telemetry.Dataset {
 func TestCochranClosedLoopRuns(t *testing.T) {
 	p := fastSim(t)
 	ds := engineCochranDataset(t)
-	ct, err := BuildCriticalTemps(p, []string{"calculix", "gamess"},
-		[]float64{3.75, 4.0, 4.25, 4.5}, 40, sim.DefaultSensorIndex)
+	ct, err := BuildCriticalTemps(context.Background(), p, []string{"calculix", "gamess"},
+		[]float64{3.75, 4.0, 4.25, 4.5}, 40, sim.DefaultSensorIndex, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,15 +207,15 @@ func TestOracleSweepYieldsCriticalTemps(t *testing.T) {
 	freqs := []float64{3.75, 4.25, 4.75}
 	all := []string{"gamess", "calculix", "omnetpp", "gromacs"}
 	crit := []string{"gromacs", "calculix"}
-	ot, ct, err := BuildOracleCriticalTempsContext(context.Background(), p, all, freqs, 60, 2, crit, sim.DefaultSensorIndex)
+	ot, ct, err := BuildOracleCriticalTemps(context.Background(), p, all, freqs, 60, 2, crit, sim.DefaultSensorIndex)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantOT, err := BuildOracle(p, all, freqs, 60)
+	wantOT, err := BuildOracle(context.Background(), p, all, freqs, 60, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCT, err := BuildCriticalTemps(p, crit, freqs, 60, sim.DefaultSensorIndex)
+	wantCT, err := BuildCriticalTemps(context.Background(), p, crit, freqs, 60, sim.DefaultSensorIndex, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,10 +228,10 @@ func TestOracleSweepYieldsCriticalTemps(t *testing.T) {
 	if math.IsInf(ct.PerWorkload["calculix"][4.75], 1) {
 		t.Fatal("calculix at 4.75 GHz should have a critical temperature")
 	}
-	if _, _, err := BuildOracleCriticalTempsContext(context.Background(), p, all, freqs, 60, 2, []string{"mcf"}, sim.DefaultSensorIndex); err == nil {
+	if _, _, err := BuildOracleCriticalTemps(context.Background(), p, all, freqs, 60, 2, []string{"mcf"}, sim.DefaultSensorIndex); err == nil {
 		t.Fatal("expected an error for a critical-temperature workload outside the sweep")
 	}
-	if _, _, err := BuildOracleCriticalTempsContext(context.Background(), p, all, freqs, 60, 2, crit, 99); err == nil {
+	if _, _, err := BuildOracleCriticalTemps(context.Background(), p, all, freqs, 60, 2, crit, 99); err == nil {
 		t.Fatal("expected sensor-index error")
 	}
 }

@@ -77,7 +77,7 @@ func quickCalibration(t *testing.T, seed uint64, workloads []string) (*sim.Pipel
 	if err != nil {
 		t.Fatal(err)
 	}
-	table, err := BuildCriticalTempsContext(context.Background(), p, workloads, quickFreqs, quickSteps, sim.DefaultSensorIndex, 2)
+	table, err := BuildCriticalTemps(context.Background(), p, workloads, quickFreqs, quickSteps, sim.DefaultSensorIndex, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestSharedLoopConfigRejectsTaps(t *testing.T) {
 		if err == nil {
 			t.Errorf("%s tap: RunFleet accepted a shared tap", name)
 		}
-		_, err = CalibrateThermalMarginContext(context.Background(), p, table, []string{"gamess", "calculix"}, lc, 3, 4)
+		_, err = CalibrateThermalMargin(context.Background(), p, table, []string{"gamess", "calculix"}, lc, 3, 4)
 		if err == nil {
 			t.Errorf("%s tap: calibration accepted a shared tap", name)
 		}

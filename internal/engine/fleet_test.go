@@ -122,7 +122,7 @@ func TestLoopResultJSONSafe(t *testing.T) {
 // artefact survives encoding/json.
 func TestBuildCriticalTempsMarshals(t *testing.T) {
 	p := fastSim(t)
-	ct, err := BuildCriticalTemps(p, []string{"gamess"}, []float64{2.0, 5.0}, 24, sim.DefaultSensorIndex)
+	ct, err := BuildCriticalTemps(context.Background(), p, []string{"gamess"}, []float64{2.0, 5.0}, 24, sim.DefaultSensorIndex, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

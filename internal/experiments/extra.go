@@ -131,13 +131,13 @@ func DelayStudy(l *Lab, name string, maxMargin float64) (*DelayStudyResult, erro
 		if err != nil {
 			return nil, err
 		}
-		ct, err := engine.BuildCriticalTempsContext(l.ctx, p, []string{name}, l.cfg.Frequencies,
+		ct, err := engine.BuildCriticalTemps(l.ctx, p, []string{name}, l.cfg.Frequencies,
 			l.cfg.StepsPerRun, l.cfg.SensorIndex, l.cfg.Workers)
 		if err != nil {
 			return nil, err
 		}
 		lc := l.loopConfig()
-		th, err := engine.CalibrateThermalMarginContext(l.ctx, p, ct, []string{name}, lc, maxMargin, l.cfg.Workers)
+		th, err := engine.CalibrateThermalMargin(l.ctx, p, ct, []string{name}, lc, maxMargin, l.cfg.Workers)
 		if err != nil {
 			return nil, err
 		}

@@ -223,7 +223,7 @@ func (l *Lab) Oracle() (*control.OracleTable, error) {
 		return labCell(l, "oracle-table", []string{"oracle"}, encodeOracle, decodeOracle,
 			func() (*control.OracleTable, error) {
 				all := append(append([]string{}, l.cfg.TrainNames...), l.cfg.TestNames...)
-				ot, ct, err := engine.BuildOracleCriticalTempsContext(l.ctx, l.pipeline, all, l.cfg.Frequencies,
+				ot, ct, err := engine.BuildOracleCriticalTemps(l.ctx, l.pipeline, all, l.cfg.Frequencies,
 					l.cfg.StepsPerRun, l.cfg.Workers, l.cfg.TrainNames, l.cfg.SensorIndex)
 				if err != nil {
 					return nil, err
@@ -246,7 +246,7 @@ func (l *Lab) CriticalTemps() (*control.CriticalTemps, error) {
 					return ct, nil
 				}
 				l.critSweeps++
-				return engine.BuildCriticalTempsContext(l.ctx, l.pipeline, l.cfg.TrainNames,
+				return engine.BuildCriticalTemps(l.ctx, l.pipeline, l.cfg.TrainNames,
 					l.cfg.Frequencies, l.cfg.StepsPerRun, l.cfg.SensorIndex, l.cfg.Workers)
 			})
 	})
@@ -265,7 +265,7 @@ func (l *Lab) TH00() (*control.ThermalController, error) {
 		cell, err := labCell(l, "th00-calibration", []string{"th00"}, jsonEnc[th00Cell], jsonDec[th00Cell],
 			func() (th00Cell, error) {
 				lc := l.loopConfig()
-				ctrl, err := engine.CalibrateThermalMarginContext(l.ctx, l.pipeline, ct, l.cfg.TrainNames, lc, 30, l.cfg.Workers)
+				ctrl, err := engine.CalibrateThermalMargin(l.ctx, l.pipeline, ct, l.cfg.TrainNames, lc, 30, l.cfg.Workers)
 				if err != nil {
 					return th00Cell{}, err
 				}
@@ -316,7 +316,7 @@ func (l *Lab) TrainingData() (*telemetry.Dataset, error) {
 		bc.SensorIndex = l.cfg.SensorIndex
 		bc.Workers = l.cfg.Workers
 		bc.Checkpoint = l.store
-		ds, err := telemetry.BuildContext(l.ctx, bc)
+		ds, err := telemetry.Build(l.ctx, bc)
 		if err != nil {
 			return nil, err
 		}
@@ -327,7 +327,7 @@ func (l *Lab) TrainingData() (*telemetry.Dataset, error) {
 		wc.SensorIndex = l.cfg.SensorIndex
 		wc.Workers = l.cfg.Workers
 		wc.Checkpoint = l.store
-		dsw, err := telemetry.BuildWalkContext(l.ctx, wc)
+		dsw, err := telemetry.BuildWalk(l.ctx, wc)
 		if err != nil {
 			return nil, err
 		}
@@ -348,7 +348,7 @@ func (l *Lab) TestData() (*telemetry.Dataset, error) {
 		bc.SensorIndex = l.cfg.SensorIndex
 		bc.Workers = l.cfg.Workers
 		bc.Checkpoint = l.store
-		return telemetry.BuildContext(l.ctx, bc)
+		return telemetry.Build(l.ctx, bc)
 	})
 }
 

@@ -129,9 +129,8 @@ func TestHistFitsNonlinearFunction(t *testing.T) {
 // for binning, where a threshold can never land closer to the true
 // discontinuity than the local bin width (~0.02 of a 10-wide feature at
 // 256 bins, costing ~4 * 2/1000 in MSE on this target). Real telemetry
-// is smooth by comparison; BENCH_gbt.json checks the same bound on the
-// full dataset. TestHistQuantizationShrinksWithBins pins that the gap
-// is in fact bin resolution, not a trainer defect.
+// is smooth by comparison. TestHistQuantizationShrinksWithBins pins
+// that the gap is in fact bin resolution, not a trainer defect.
 const (
 	histMSERelTolerance = 1.10
 	histMSEAbsTolerance = 0.0125

@@ -62,10 +62,10 @@ func hdrValueAt(idx int) int64 {
 // allocation-free; all methods are safe for concurrent use. The zero
 // value is NOT ready — build with NewHDRHistogram.
 //
-// The load-replay harness keeps one histogram per dispatcher goroutine
-// and merges the snapshots (HDRSnapshot.Merge), so recording never
-// contends across workers; a single shared instance is also safe, just
-// slower under heavy parallelism.
+// Metrics records every served decision into one shared instance; the
+// load-replay harness keeps one histogram per dispatcher goroutine and
+// merges the snapshots (HDRSnapshot.Merge), so its recording never
+// contends across workers.
 type HDRHistogram struct {
 	counts   []atomic.Uint64
 	overflow atomic.Uint64

@@ -1,5 +1,5 @@
 // Package obs is the observability layer of the serving stack: atomic
-// request/decision counters, a fixed-bucket latency histogram, and a
+// request/decision counters, a log-linear (HDR) latency histogram, and a
 // JSON-safe Snapshot that both the HTTP /metrics endpoint and the
 // fleet/experiment CLIs render.
 //
@@ -13,109 +13,15 @@ package obs
 
 import (
 	"fmt"
-	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
 )
 
-// DefaultLatencyBounds are the histogram bucket upper bounds in seconds
-// (1 us to 1 s, roughly 1-2.5-5 per decade). The final implicit bucket
-// is +Inf; keeping the explicit bounds finite keeps every Snapshot
-// field representable in JSON.
-func DefaultLatencyBounds() []float64 {
-	return []float64{
-		1e-6, 2.5e-6, 5e-6,
-		1e-5, 2.5e-5, 5e-5,
-		1e-4, 2.5e-4, 5e-4,
-		1e-3, 2.5e-3, 5e-3,
-		1e-2, 2.5e-2, 5e-2,
-		1e-1, 2.5e-1, 5e-1,
-		1,
-	}
-}
-
-// Histogram is a fixed-bucket latency histogram with atomic counters.
-// The zero value is unusable; build one with NewHistogram. Observe is
-// lock-free and allocation-free.
-type Histogram struct {
-	// bounds are the finite bucket upper bounds, ascending. counts has
-	// len(bounds)+1 entries; the last one is the +Inf overflow bucket.
-	bounds []float64
-	counts []atomic.Uint64
-	count  atomic.Uint64
-	// sumNanos accumulates total observed time in integer nanoseconds,
-	// so concurrent adds stay exact without a float CAS loop.
-	sumNanos atomic.Int64
-}
-
-// NewHistogram builds a histogram over the given ascending bucket
-// bounds in seconds (nil: DefaultLatencyBounds).
-func NewHistogram(boundsSeconds []float64) *Histogram {
-	if len(boundsSeconds) == 0 {
-		boundsSeconds = DefaultLatencyBounds()
-	}
-	bounds := append([]float64(nil), boundsSeconds...)
-	if !sort.Float64sAreSorted(bounds) {
-		panic("obs: histogram bounds must be ascending")
-	}
-	return &Histogram{bounds: bounds, counts: make([]atomic.Uint64, len(bounds)+1)}
-}
-
-// Observe records one duration.
-func (h *Histogram) Observe(d time.Duration) {
-	secs := d.Seconds()
-	// Binary search inlined to stay allocation-free (sort.SearchFloat64s
-	// takes the slice by interface in older toolchains; this is also the
-	// hot path of every served decision).
-	lo, hi := 0, len(h.bounds)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if h.bounds[mid] < secs {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	h.counts[lo].Add(1)
-	h.count.Add(1)
-	h.sumNanos.Add(int64(d))
-}
-
-// HistogramSnapshot is the JSON-safe point-in-time state of a Histogram:
-// the bounds are finite (the +Inf overflow bucket is implicit as the
-// final count), so encoding/json accepts every field.
-type HistogramSnapshot struct {
-	// BoundsSeconds are the finite bucket upper bounds.
-	BoundsSeconds []float64 `json:"bounds_seconds"`
-	// Counts[i] is the number of observations <= BoundsSeconds[i]; the
-	// final extra entry counts observations above every bound.
-	Counts []uint64 `json:"counts"`
-	// Count is the total number of observations.
-	Count uint64 `json:"count"`
-	// SumSeconds is the total observed time.
-	SumSeconds float64 `json:"sum_seconds"`
-}
-
-// Snapshot captures the histogram state. Under concurrent Observe
-// traffic the bucket counts are each individually exact but may not sum
-// to a single instant's Count; metrics scrapes tolerate that by design.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{
-		BoundsSeconds: append([]float64(nil), h.bounds...),
-		Counts:        make([]uint64, len(h.counts)),
-		Count:         h.count.Load(),
-		SumSeconds:    time.Duration(h.sumNanos.Load()).Seconds(),
-	}
-	for i := range h.counts {
-		s.Counts[i] = h.counts[i].Load()
-	}
-	return s
-}
-
 // Metrics is the serving layer's counter set. All fields are safe for
-// concurrent use; the zero value needs Init (or NewMetrics) to size the
-// latency histogram.
+// concurrent use; build one with NewMetrics (a zero Metrics counts
+// decisions but records no latency).
 type Metrics struct {
 	// Requests counts HTTP requests accepted by the decision service;
 	// BadRequests counts the subset rejected as malformed (4xx).
@@ -130,12 +36,12 @@ type Metrics struct {
 	SessionsCreated, EvictedIdle, EvictedLRU atomic.Uint64
 
 	// DecideLatency is the per-decision service time distribution.
-	DecideLatency *Histogram
+	DecideLatency *HDRHistogram
 }
 
-// NewMetrics returns a Metrics with the default latency buckets.
+// NewMetrics returns a Metrics with an empty latency histogram.
 func NewMetrics() *Metrics {
-	return &Metrics{DecideLatency: NewHistogram(nil)}
+	return &Metrics{DecideLatency: NewHDRHistogram()}
 }
 
 // RecordDecision folds one decision into the counters: prev and next
@@ -156,7 +62,7 @@ func (m *Metrics) RecordDecision(prev, next float64, clamped bool, d time.Durati
 		m.Clamps.Add(1)
 	}
 	if m.DecideLatency != nil {
-		m.DecideLatency.Observe(d)
+		m.DecideLatency.Record(d)
 	}
 }
 
@@ -190,7 +96,11 @@ type Snapshot struct {
 	// registry, not the counters).
 	Sessions int `json:"sessions"`
 
-	DecideLatency HistogramSnapshot `json:"decide_latency"`
+	// DecideLatency is the percentile table of the decide service time.
+	DecideLatency LatencySummary `json:"decide_latency"`
+	// latency is the full histogram behind DecideLatency, which Prom
+	// renders as buckets; it stays out of the JSON form.
+	latency HDRSnapshot
 }
 
 // Snapshot captures the counters.
@@ -208,7 +118,8 @@ func (m *Metrics) Snapshot() Snapshot {
 		EvictedLRU:      m.EvictedLRU.Load(),
 	}
 	if m.DecideLatency != nil {
-		s.DecideLatency = m.DecideLatency.Snapshot()
+		s.latency = m.DecideLatency.Snapshot()
+		s.DecideLatency = s.latency.Summary()
 	}
 	return s
 }
@@ -222,16 +133,26 @@ func (s Snapshot) Render() string {
 	fmt.Fprintf(&b, "sessions  %10d live (created %d, evicted %d idle + %d lru)\n",
 		s.Sessions, s.SessionsCreated, s.EvictedIdle, s.EvictedLRU)
 	if s.DecideLatency.Count > 0 {
-		mean := s.DecideLatency.SumSeconds / float64(s.DecideLatency.Count)
-		fmt.Fprintf(&b, "decide    %10.1f us mean over %d decisions\n", mean*1e6, s.DecideLatency.Count)
+		fmt.Fprintf(&b, "decide    %10.1f us mean over %d decisions\n", s.DecideLatency.MeanMicros, s.DecideLatency.Count)
 	}
 	return b.String()
 }
 
+// Prometheus bucket bounds: one le per power-of-two magnitude m in
+// [promMinMagnitude, promMaxMagnitude], at 2^m - 1 ns (1.023 us to
+// 1.073741823 s). Each bound is the top of an HDR slot, and durations are
+// recorded in whole nanoseconds, so a bucket's count is exactly the number
+// of observations at or below its bound; none is interpolated.
+const (
+	promMinMagnitude = 10
+	promMaxMagnitude = 30
+)
+
 // Prom renders the snapshot in the Prometheus text exposition format
-// under the given metric prefix (e.g. "boreas"). The +Inf histogram
-// bucket exists only here, as the conventional le="+Inf" label — the
-// Snapshot itself stays JSON-safe.
+// under the given metric prefix (e.g. "boreas"). The latency buckets are
+// cumulative sums of the HDR slot counts up to each bound, and the +Inf
+// bucket adds every remaining slot and the overflow. A snapshot that
+// came back from JSON carries no histogram and renders no buckets.
 func (s Snapshot) Prom(prefix string) string {
 	var b strings.Builder
 	counter := func(name string, v uint64) {
@@ -249,21 +170,26 @@ func (s Snapshot) Prom(prefix string) string {
 	counter("sessions_evicted_lru_total", s.EvictedLRU)
 	fmt.Fprintf(&b, "# TYPE %s_sessions gauge\n%s_sessions %d\n", prefix, prefix, s.Sessions)
 
-	h := s.DecideLatency
-	if len(h.Counts) == len(h.BoundsSeconds)+1 {
+	h := s.latency
+	if len(h.Counts) == hdrSlots {
 		fmt.Fprintf(&b, "# TYPE %s_decide_latency_seconds histogram\n", prefix)
-		cum := uint64(0)
-		for i, bound := range h.BoundsSeconds {
-			cum += h.Counts[i]
-			fmt.Fprintf(&b, "%s_decide_latency_seconds_bucket{le=%q} %d\n", prefix, formatBound(bound), cum)
+		var cum uint64
+		i := 0
+		for m := promMinMagnitude; m <= promMaxMagnitude; m++ {
+			bound := int64(1)<<m - 1
+			for last := hdrIndex(bound); i <= last; i++ {
+				cum += h.Counts[i]
+			}
+			le := strconv.FormatFloat(float64(bound)/1e9, 'g', -1, 64)
+			fmt.Fprintf(&b, "%s_decide_latency_seconds_bucket{le=%q} %d\n", prefix, le, cum)
 		}
-		cum += h.Counts[len(h.Counts)-1]
+		for ; i < len(h.Counts); i++ {
+			cum += h.Counts[i]
+		}
+		cum += h.Overflow
 		fmt.Fprintf(&b, "%s_decide_latency_seconds_bucket{le=\"+Inf\"} %d\n", prefix, cum)
-		fmt.Fprintf(&b, "%s_decide_latency_seconds_sum %g\n", prefix, h.SumSeconds)
+		fmt.Fprintf(&b, "%s_decide_latency_seconds_sum %g\n", prefix, time.Duration(h.SumNanos).Seconds())
 		fmt.Fprintf(&b, "%s_decide_latency_seconds_count %d\n", prefix, h.Count)
 	}
 	return b.String()
 }
-
-// formatBound renders a bucket bound the shortest exact way.
-func formatBound(v float64) string { return strings.TrimSuffix(fmt.Sprintf("%g", v), ".0") }

@@ -3,64 +3,12 @@ package obs
 import (
 	"encoding/json"
 	"math"
+	"regexp"
+	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
-
-func TestHistogramBuckets(t *testing.T) {
-	h := NewHistogram([]float64{1e-6, 1e-3, 1})
-	h.Observe(500 * time.Nanosecond) // <= 1us
-	h.Observe(1 * time.Microsecond)  // boundary: <= 1us
-	h.Observe(2 * time.Microsecond)  // <= 1ms
-	h.Observe(time.Millisecond)      // boundary: <= 1ms
-	h.Observe(2 * time.Millisecond)  // <= 1s
-	h.Observe(2 * time.Second)       // overflow
-
-	s := h.Snapshot()
-	want := []uint64{2, 2, 1, 1}
-	for i, w := range want {
-		if s.Counts[i] != w {
-			t.Errorf("bucket %d = %d, want %d (counts %v)", i, s.Counts[i], w, s.Counts)
-		}
-	}
-	if s.Count != 6 {
-		t.Errorf("count = %d, want 6", s.Count)
-	}
-	wantSum := (500*time.Nanosecond + time.Microsecond + 2*time.Microsecond +
-		time.Millisecond + 2*time.Millisecond + 2*time.Second).Seconds()
-	if s.SumSeconds != wantSum {
-		t.Errorf("sum = %v, want %v", s.SumSeconds, wantSum)
-	}
-}
-
-func TestHistogramConcurrent(t *testing.T) {
-	h := NewHistogram(nil)
-	const goroutines, per = 8, 1000
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				h.Observe(time.Duration(g*per+i) * time.Microsecond)
-			}
-		}(g)
-	}
-	wg.Wait()
-	s := h.Snapshot()
-	if s.Count != goroutines*per {
-		t.Fatalf("count = %d, want %d", s.Count, goroutines*per)
-	}
-	total := uint64(0)
-	for _, c := range s.Counts {
-		total += c
-	}
-	if total != s.Count {
-		t.Fatalf("bucket sum %d != count %d", total, s.Count)
-	}
-}
 
 func TestMetricsRecordDecision(t *testing.T) {
 	m := NewMetrics()
@@ -74,18 +22,25 @@ func TestMetricsRecordDecision(t *testing.T) {
 	if s.Decisions != 14 || s.Throttles != 6 || s.Climbs != 4 || s.Holds != 4 || s.Clamps != 2 {
 		t.Fatalf("snapshot counters wrong: %+v", s)
 	}
-	if s.DecideLatency.Count != 4 {
-		t.Fatalf("latency count = %d, want 4", s.DecideLatency.Count)
+	if s.DecideLatency.Count != 4 || s.DecideLatency.MeanMicros != 1 || s.DecideLatency.MaxMicros != 1 {
+		t.Fatalf("latency summary %+v, want 4 decisions of exactly 1 us", s.DecideLatency)
+	}
+	// The percentiles report the top of the 1 us slot: never below the
+	// true value, and above it by at most one sub-bucket.
+	if p := s.DecideLatency.P50Micros; p < 1 || p > 1+1.0/hdrSub {
+		t.Fatalf("p50 = %v us, want 1 us within one sub-bucket", p)
 	}
 }
 
 // TestSnapshotJSONSafe pins the contract the serving layer depends on:
-// a snapshot always marshals (no ±Inf or NaN anywhere) and round-trips.
+// a snapshot always marshals (no ±Inf or NaN anywhere), round-trips, and
+// carries the percentile table rather than the raw histogram slots —
+// even when an observation overflows the histogram's range.
 func TestSnapshotJSONSafe(t *testing.T) {
 	m := NewMetrics()
 	m.Requests.Add(3)
 	m.RecordDecision(4.0, 3.75, true, 80*time.Microsecond)
-	m.RecordDecision(3.75, 3.75, false, 2*time.Hour) // lands in the +Inf overflow bucket
+	m.RecordDecision(3.75, 3.75, false, 2*time.Hour) // beyond HDRMaxTrackable: the overflow bucket
 	s := m.Snapshot()
 	s.Sessions = 2
 
@@ -93,44 +48,92 @@ func TestSnapshotJSONSafe(t *testing.T) {
 	if err != nil {
 		t.Fatalf("snapshot does not marshal: %v", err)
 	}
+	if strings.Contains(string(data), "[") {
+		t.Fatalf("snapshot JSON carries an array, want only the summary: %s", data)
+	}
 	var back Snapshot
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatalf("snapshot does not unmarshal: %v", err)
 	}
-	if back.Decisions != s.Decisions || back.Sessions != 2 ||
-		back.DecideLatency.Count != s.DecideLatency.Count ||
-		back.DecideLatency.SumSeconds != s.DecideLatency.SumSeconds {
+	if back.Decisions != s.Decisions || back.Sessions != 2 || back.DecideLatency != s.DecideLatency {
 		t.Fatalf("round trip changed the snapshot: %+v vs %+v", back, s)
 	}
-	for _, bound := range back.DecideLatency.BoundsSeconds {
-		if math.IsInf(bound, 0) || math.IsNaN(bound) {
-			t.Fatalf("non-finite bucket bound %v escaped into the snapshot", bound)
+	l := back.DecideLatency
+	for _, v := range []float64{l.MeanMicros, l.P50Micros, l.P90Micros, l.P99Micros, l.P999Micros, l.MaxMicros} {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			t.Fatalf("non-finite latency %v escaped into the snapshot: %+v", v, l)
 		}
+	}
+	hour2 := float64(2*time.Hour) / float64(time.Microsecond)
+	if l.Count != 2 || l.MaxMicros != hour2 || l.P99Micros != hour2 || l.MeanMicros != (hour2+80)/2 {
+		t.Fatalf("summary %+v, want count 2, max and p99 at the overflowing 2 h, exact mean", l)
 	}
 }
 
+// TestPromRendering checks the exposition text, and that every latency
+// bucket is exact: each le count equals the number of recorded durations
+// at or below le, for durations at zero, on every bucket bound and one
+// nanosecond either side of it, inside a bucket, and beyond the
+// histogram's range.
 func TestPromRendering(t *testing.T) {
+	ds := []time.Duration{0, 3 * time.Microsecond, 2 * time.Hour}
+	for m := promMinMagnitude; m <= promMaxMagnitude; m++ {
+		bound := time.Duration(1)<<m - 1
+		ds = append(ds, bound-1, bound, bound+1)
+	}
 	m := NewMetrics()
 	m.Requests.Add(2)
-	m.RecordDecision(3.75, 3.5, false, 3*time.Microsecond)
+	var total time.Duration
+	for _, d := range ds {
+		m.RecordDecision(3.75, 3.5, false, d)
+		total += d
+	}
 	s := m.Snapshot()
 	text := s.Prom("boreas")
+	n := strconv.Itoa(len(ds))
 	for _, want := range []string{
 		"boreas_requests_total 2",
-		"boreas_decisions_total 1",
-		"boreas_throttles_total 1",
-		`boreas_decide_latency_seconds_bucket{le="+Inf"} 1`,
-		"boreas_decide_latency_seconds_count 1",
+		"boreas_decisions_total " + n,
+		"boreas_throttles_total " + n,
 		"# TYPE boreas_decide_latency_seconds histogram",
+		`boreas_decide_latency_seconds_bucket{le="+Inf"} ` + n,
+		"boreas_decide_latency_seconds_count " + n,
+		"boreas_decide_latency_seconds_sum " + strconv.FormatFloat(total.Seconds(), 'g', -1, 64),
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("prom output missing %q:\n%s", want, text)
 		}
 	}
-	// Bucket counts must be cumulative: every le bucket at or above 5us
-	// already contains the 3us observation.
-	if !strings.Contains(text, `boreas_decide_latency_seconds_bucket{le="5e-06"} 1`) {
-		t.Errorf("cumulative bucket missing:\n%s", text)
+
+	bucket := regexp.MustCompile(`boreas_decide_latency_seconds_bucket\{le="([^"+]+)"\} (\d+)`)
+	rows := bucket.FindAllStringSubmatch(text, -1)
+	if len(rows) != promMaxMagnitude-promMinMagnitude+1 {
+		t.Fatalf("%d finite buckets, want %d:\n%s", len(rows), promMaxMagnitude-promMinMagnitude+1, text)
+	}
+	for _, row := range rows {
+		le, err := strconv.ParseFloat(row[1], 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := strconv.ParseUint(row[2], 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The bound is a whole nanosecond count at the top of an HDR slot,
+		// so the slot counts up to it are the exact answer.
+		boundNs := int64(math.Round(le * 1e9))
+		if float64(boundNs)/1e9 != le || hdrIndex(boundNs) == hdrIndex(boundNs+1) {
+			t.Fatalf("le=%s is not the top of an HDR slot", row[1])
+		}
+		var want uint64
+		for _, d := range ds {
+			if int64(d) <= boundNs {
+				want++
+			}
+		}
+		if got != want {
+			t.Errorf("le=%s counts %d, want %d durations at or below it", row[1], got, want)
+		}
 	}
 	if s.Render() == "" {
 		t.Error("text rendering is empty")

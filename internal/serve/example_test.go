@@ -69,30 +69,8 @@ func Example() {
 	}
 
 	// Output:
-	// {
-	//   "decision": {
-	//     "chip": "c0",
-	//     "freq_ghz": 4,
-	//     "raw_ghz": 4,
-	//     "tick": 0
-	//   }
-	// }
-	// {
-	//   "decisions": [
-	//     {
-	//       "chip": "c0",
-	//       "freq_ghz": 4,
-	//       "raw_ghz": 4,
-	//       "tick": 1
-	//     },
-	//     {
-	//       "chip": "c1",
-	//       "freq_ghz": 4,
-	//       "raw_ghz": 4,
-	//       "tick": 0
-	//     }
-	//   ]
-	// }
+	// {"decision":{"chip":"c0","freq_ghz":4,"raw_ghz":4,"tick":0}}
+	// {"decisions":[{"chip":"c0","freq_ghz":4,"raw_ghz":4,"tick":1},{"chip":"c1","freq_ghz":4,"raw_ghz":4,"tick":0}]}
 	// c0: controller fixed-max, tick 2, freq 4.00 GHz
 	// c1: controller fixed-max, tick 1, freq 4.00 GHz
 }

@@ -90,14 +90,9 @@ func (c BuildConfig) RunSeed(workload string, fGHz float64) uint64 {
 // Build runs the extraction campaign and returns the labelled dataset
 // with the full 78-feature schema. The delayed sensor reading is used for
 // the sensor feature - the model must work with what real hardware sees.
-func Build(cfg BuildConfig) (*Dataset, error) {
-	return BuildContext(context.Background(), cfg)
-}
-
-// BuildContext is Build with cancellation: the (workload, frequency) runs
-// are fanned across cfg.Workers pipelines and their rows merged in
-// canonical campaign order.
-func BuildContext(ctx context.Context, cfg BuildConfig) (*Dataset, error) {
+// The (workload, frequency) runs are fanned across cfg.Workers pipelines
+// and their rows merged in canonical campaign order.
+func Build(ctx context.Context, cfg BuildConfig) (*Dataset, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

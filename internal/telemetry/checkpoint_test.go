@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"github.com/hotgauge/boreas/internal/checkpoint"
@@ -9,7 +10,7 @@ import (
 
 func TestBuildWithCheckpointBitIdentical(t *testing.T) {
 	cfg := buildTestConfig()
-	ref, err := Build(cfg)
+	ref, err := Build(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +21,7 @@ func TestBuildWithCheckpointBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Checkpoint = store
-	first, err := Build(cfg)
+	first, err := Build(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func TestBuildWithCheckpointBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Checkpoint = store2
-	replayed, err := Build(cfg)
+	replayed, err := Build(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestBuildWithCheckpointBitIdentical(t *testing.T) {
 	cfg2 := cfg
 	cfg2.StepsPerRun++
 	cfg2.Horizon = 12
-	if _, err := Build(cfg2); err != nil {
+	if _, err := Build(context.Background(), cfg2); err != nil {
 		t.Fatal(err)
 	}
 	if got := store2.Stats(); got.Hits != 4 {
@@ -68,7 +69,7 @@ func TestBuildWalkWithCheckpointBitIdentical(t *testing.T) {
 		WalksPerWorkload: 2,
 		Seed:             1,
 	}
-	ref, err := BuildWalk(cfg)
+	ref, err := BuildWalk(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,10 +78,10 @@ func TestBuildWalkWithCheckpointBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Checkpoint = store
-	if _, err := BuildWalk(cfg); err != nil {
+	if _, err := BuildWalk(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
-	replayed, err := BuildWalk(cfg)
+	replayed, err := BuildWalk(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestCorruptFragmentIsRebuilt(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Checkpoint = store
-	ref, err := Build(cfg)
+	ref, err := Build(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestCorruptFragmentIsRebuilt(t *testing.T) {
 	if err := store.Put(key, "dataset-fragment", []byte("not,a\nvalid,csv")); err != nil {
 		t.Fatal(err)
 	}
-	rebuilt, err := Build(cfg)
+	rebuilt, err := Build(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

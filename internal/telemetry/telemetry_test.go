@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"reflect"
 	"strings"
@@ -244,7 +245,7 @@ func buildTestConfig() BuildConfig {
 }
 
 func TestBuildProducesLabelledInstances(t *testing.T) {
-	ds, err := Build(buildTestConfig())
+	ds, err := Build(context.Background(), buildTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,17 +272,17 @@ func TestBuildProducesLabelledInstances(t *testing.T) {
 func TestBuildValidate(t *testing.T) {
 	bad := buildTestConfig()
 	bad.Workloads = nil
-	if _, err := Build(bad); err == nil {
+	if _, err := Build(context.Background(), bad); err == nil {
 		t.Fatal("expected empty-workloads error")
 	}
 	bad = buildTestConfig()
 	bad.Horizon = 40
-	if _, err := Build(bad); err == nil {
+	if _, err := Build(context.Background(), bad); err == nil {
 		t.Fatal("expected horizon error")
 	}
 	bad = buildTestConfig()
 	bad.SensorIndex = 99
-	if _, err := Build(bad); err == nil {
+	if _, err := Build(context.Background(), bad); err == nil {
 		t.Fatal("expected sensor-index error")
 	}
 }

@@ -95,15 +95,10 @@ func (c WalkConfig) Validate() error {
 }
 
 // BuildWalk runs the campaign and returns the labelled dataset (full
-// 78-feature schema, mergeable with Build's output).
-func BuildWalk(cfg WalkConfig) (*Dataset, error) {
-	return BuildWalkContext(context.Background(), cfg)
-}
-
-// BuildWalkContext is BuildWalk with cancellation: the (workload, walk)
+// 78-feature schema, mergeable with Build's output). The (workload, walk)
 // runs are fanned across cfg.Workers pipelines and merged in canonical
 // campaign order.
-func BuildWalkContext(ctx context.Context, cfg WalkConfig) (*Dataset, error) {
+func BuildWalk(ctx context.Context, cfg WalkConfig) (*Dataset, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"context"
 	"testing"
 
 	"github.com/hotgauge/boreas/internal/sim"
@@ -26,7 +27,7 @@ func walkTestConfig() WalkConfig {
 }
 
 func TestBuildWalkProducesInstances(t *testing.T) {
-	ds, err := BuildWalk(walkTestConfig())
+	ds, err := BuildWalk(context.Background(), walkTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestBuildWalkProducesInstances(t *testing.T) {
 }
 
 func TestBuildWalkVisitsMultipleFrequencies(t *testing.T) {
-	ds, err := BuildWalk(walkTestConfig())
+	ds, err := BuildWalk(context.Background(), walkTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestBuildWalkLabelsConditionedOnHold(t *testing.T) {
 	// Every emitted instance's frequency feature must be one of the
 	// allowed set (i.e. instances never straddle a transition).
 	cfg := walkTestConfig()
-	ds, err := BuildWalk(cfg)
+	ds, err := BuildWalk(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,11 +80,11 @@ func TestBuildWalkLabelsConditionedOnHold(t *testing.T) {
 }
 
 func TestBuildWalkDeterministic(t *testing.T) {
-	a, err := BuildWalk(walkTestConfig())
+	a, err := BuildWalk(context.Background(), walkTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := BuildWalk(walkTestConfig())
+	b, err := BuildWalk(context.Background(), walkTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,22 +101,22 @@ func TestBuildWalkDeterministic(t *testing.T) {
 func TestWalkConfigValidate(t *testing.T) {
 	bad := walkTestConfig()
 	bad.Workloads = nil
-	if _, err := BuildWalk(bad); err == nil {
+	if _, err := BuildWalk(context.Background(), bad); err == nil {
 		t.Fatal("expected workloads error")
 	}
 	bad = walkTestConfig()
 	bad.Frequencies = []float64{3.0}
-	if _, err := BuildWalk(bad); err == nil {
+	if _, err := BuildWalk(context.Background(), bad); err == nil {
 		t.Fatal("expected frequencies error")
 	}
 	bad = walkTestConfig()
 	bad.Horizon = 24
-	if _, err := BuildWalk(bad); err == nil {
+	if _, err := BuildWalk(context.Background(), bad); err == nil {
 		t.Fatal("expected horizon error")
 	}
 	bad = walkTestConfig()
 	bad.SensorIndex = 99
-	if _, err := BuildWalk(bad); err == nil {
+	if _, err := BuildWalk(context.Background(), bad); err == nil {
 		t.Fatal("expected sensor error")
 	}
 }
