@@ -6,9 +6,102 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
+
+// TestHistogramBuckets checks that the latency histogram counts each
+// duration into the band it belongs to, boundary values included, and
+// keeps an exact count and sum, also for a duration beyond its range.
+func TestHistogramBuckets(t *testing.T) {
+	h := NewHDRHistogram()
+	ds := []time.Duration{
+		500 * time.Nanosecond, // <= 1us
+		time.Microsecond,      // boundary: <= 1us
+		2 * time.Microsecond,  // <= 1ms
+		time.Millisecond,      // boundary: <= 1ms
+		2 * time.Millisecond,  // <= 1s
+		2 * time.Second,       // > 1s
+		2 * time.Hour,         // > 1s, beyond HDRMaxTrackable: overflow
+	}
+	var total time.Duration
+	for _, d := range ds {
+		h.Record(d)
+		total += d
+	}
+
+	s := h.Snapshot()
+	bounds := []time.Duration{time.Microsecond, time.Millisecond, time.Second}
+	got := make([]uint64, len(bounds)+1)
+	for idx, c := range s.Counts {
+		band := len(bounds)
+		for i, b := range bounds {
+			if idx <= hdrIndex(int64(b)) {
+				band = i
+				break
+			}
+		}
+		got[band] += c
+	}
+	got[len(bounds)] += s.Overflow
+	want := []uint64{2, 2, 1, 2}
+	for i, w := range want {
+		if got[i] != w {
+			t.Errorf("band %d = %d, want %d (bands %v)", i, got[i], w, got)
+		}
+	}
+	if s.Overflow != 1 {
+		t.Errorf("overflow = %d, want 1", s.Overflow)
+	}
+	if s.Count != uint64(len(ds)) {
+		t.Errorf("count = %d, want %d", s.Count, len(ds))
+	}
+	if time.Duration(s.SumNanos) != total {
+		t.Errorf("sum = %v, want %v", time.Duration(s.SumNanos), total)
+	}
+	if s.Max() != 2*time.Hour {
+		t.Errorf("max = %v, want 2h", s.Max())
+	}
+}
+
+// TestHistogramConcurrent records decisions into one Metrics from many
+// goroutines; the decision counters, the latency summary and the
+// exposition text must account for every observation exactly.
+func TestHistogramConcurrent(t *testing.T) {
+	m := NewMetrics()
+	const goroutines, per = 8, 1000
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				m.RecordDecision(3.75, 3.5, false, time.Duration(g*per+i)*time.Microsecond)
+			}
+		}(g)
+	}
+	wg.Wait()
+	s := m.Snapshot()
+	if s.Decisions != goroutines*per || s.Throttles != goroutines*per {
+		t.Fatalf("decisions %d, throttles %d, want %d each", s.Decisions, s.Throttles, goroutines*per)
+	}
+	if s.DecideLatency.Count != goroutines*per {
+		t.Fatalf("latency count = %d, want %d", s.DecideLatency.Count, goroutines*per)
+	}
+	if want := float64(goroutines*per - 1); s.DecideLatency.MaxMicros != want {
+		t.Fatalf("max = %v us, want %v us", s.DecideLatency.MaxMicros, want)
+	}
+	text := s.Prom("boreas")
+	for _, want := range []string{
+		`boreas_decide_latency_seconds_bucket{le="+Inf"} ` + strconv.Itoa(goroutines*per),
+		"boreas_decide_latency_seconds_count " + strconv.Itoa(goroutines*per),
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("prom output missing %q", want)
+		}
+	}
+}
 
 func TestMetricsRecordDecision(t *testing.T) {
 	m := NewMetrics()
