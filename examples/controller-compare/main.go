@@ -25,13 +25,13 @@ func main() {
 	// Thermal baseline: critical-temperature table from training sweeps,
 	// then the smallest margin that is incursion-free on the training set.
 	fmt.Println("calibrating TH-00 (critical temperatures + safety margin)...")
-	ct, err := boreas.BuildCriticalTemps(ctx, pipe, trainSet, freqs, 100, boreas.DefaultSensorIndex, 0)
+	ct, err := boreas.BuildCriticalTemps(ctx, pipe, trainSet, freqs, 100, boreas.DefaultSensorIndex, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
 	lc := boreas.DefaultLoopConfig()
 	lc.Steps = 100
-	th00, err := boreas.CalibrateThermalMargin(ctx, pipe, ct, trainSet, lc, 30, 0)
+	th00, err := boreas.CalibrateThermalMargin(ctx, pipe, ct, trainSet, lc, 30, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

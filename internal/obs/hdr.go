@@ -162,8 +162,10 @@ func (s *HDRSnapshot) Merge(o HDRSnapshot) error {
 
 // Quantile returns the value at or below which a fraction q of the
 // observations fall, as a duration. q is clamped to [0, 1]; an empty
-// snapshot returns 0. Observations in the overflow bucket report the
-// recorded maximum (the only exact value known beyond the grid).
+// snapshot returns 0. The answer is the top of the slot holding the
+// quantile, capped at the recorded maximum: never below the true
+// quantile, never above Max. Observations in the overflow bucket report
+// the recorded maximum (the only exact value known beyond the grid).
 func (s HDRSnapshot) Quantile(q float64) time.Duration {
 	if s.Count == 0 {
 		return 0
@@ -187,7 +189,7 @@ func (s HDRSnapshot) Quantile(q float64) time.Duration {
 	for i, c := range s.Counts {
 		cum += c
 		if cum >= target {
-			return time.Duration(hdrValueAt(i))
+			return time.Duration(min(hdrValueAt(i), s.MaxNanos))
 		}
 	}
 	return time.Duration(s.MaxNanos)

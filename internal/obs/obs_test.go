@@ -123,6 +123,19 @@ func TestMetricsRecordDecision(t *testing.T) {
 	if p := s.DecideLatency.P50Micros; p < 1 || p > 1+1.0/hdrSub {
 		t.Fatalf("p50 = %v us, want 1 us within one sub-bucket", p)
 	}
+
+	// 7 468 ns sits inside the slot whose top is 7 487 ns: every
+	// percentile is capped at the recorded max, so none reads above it.
+	m = NewMetrics()
+	m.RecordDecision(3.75, 3.75, false, 1200*time.Nanosecond)
+	m.RecordDecision(3.75, 3.75, false, 7468*time.Nanosecond)
+	l := m.Snapshot().DecideLatency
+	if !(l.P50Micros <= l.P90Micros && l.P90Micros <= l.P99Micros && l.P99Micros <= l.P999Micros && l.P999Micros <= l.MaxMicros) {
+		t.Fatalf("percentiles not ordered up to max: %+v", l)
+	}
+	if l.MaxMicros != 7.468 || l.P90Micros != l.MaxMicros {
+		t.Fatalf("p90 %v us, max %v us: want both 7.468", l.P90Micros, l.MaxMicros)
+	}
 }
 
 // TestSnapshotJSONSafe pins the contract the serving layer depends on:
