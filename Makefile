@@ -11,7 +11,7 @@ GO ?= go
 GOFMT ?= gofmt
 SCENARIO := examples/platforms/mobile-7nm.json
 
-.PHONY: all fmt-check build vet test race fuzz-smoke bench-trace-smoke bench-warmstart-smoke bench-gbt-smoke bench-engine-smoke smoke soak-smoke serve-smoke loadtest-smoke ci bench clean
+.PHONY: all fmt-check build vet test race fuzz-smoke bench-trace-smoke bench-warmstart-smoke bench-gbt-smoke bench-engine-smoke smoke soak-smoke serve-smoke loadtest-smoke ci paper-check bench clean
 
 all: build
 
@@ -150,6 +150,23 @@ loadtest-smoke:
 	echo "loadtest smoke: 200 decisions, 0 divergences, byte-identical replay across concurrency, as intended"
 
 ci: fmt-check build vet test race fuzz-smoke bench-trace-smoke bench-warmstart-smoke bench-gbt-smoke bench-engine-smoke smoke soak-smoke serve-smoke loadtest-smoke
+
+# Paper-scale fixed point, kept out of `make ci`: it runs the full
+# campaign (about 5 minutes on a 2-CPU host) and diffs its output
+# against full_campaign.txt, with the per-experiment timing lines and the
+# total run time removed. A deliberate re-baseline re-records
+# full_campaign.txt (`go run ./cmd/boreas -experiment all -j 2`) in the
+# same commit.
+paper-check:
+	@$(GO) build -o paper_boreas ./cmd/boreas; \
+	./paper_boreas -experiment all -j 2 > paper_campaign.txt; code=$$?; rm -f paper_boreas; \
+	fail() { echo "paper check: $$1"; rm -f paper_campaign.txt paper_want.txt paper_got.txt; exit 1; }; \
+	[ $$code -eq 0 ] || fail "campaign exit $$code"; \
+	grep -v -e '\[.* took .*s\]$$' -e '^all requested experiments done in' full_campaign.txt > paper_want.txt; \
+	grep -v -e '\[.* took .*s\]$$' -e '^all requested experiments done in' paper_campaign.txt > paper_got.txt; \
+	diff paper_want.txt paper_got.txt || fail "output differs from full_campaign.txt (lines above)"; \
+	rm -f paper_campaign.txt paper_want.txt paper_got.txt; \
+	echo "paper check: full campaign matches full_campaign.txt, timing lines aside"
 
 bench:
 	$(GO) test -bench=. -benchmem .

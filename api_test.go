@@ -5,10 +5,15 @@ import (
 	"testing"
 
 	"github.com/hotgauge/boreas"
+	"github.com/hotgauge/boreas/internal/control"
+	"github.com/hotgauge/boreas/internal/experiments"
+	"github.com/hotgauge/boreas/internal/telemetry"
+	"github.com/hotgauge/boreas/internal/workload"
 )
 
 // The facade tests exercise the public API exactly as a downstream user
-// would, at a reduced scale.
+// would, at a reduced scale; names the facade does not re-export come
+// from the internal packages.
 
 func apiSimConfig() boreas.SimConfig {
 	cfg := boreas.DefaultSimConfig()
@@ -20,10 +25,10 @@ func apiSimConfig() boreas.SimConfig {
 }
 
 func TestAPIWorkloadCatalogue(t *testing.T) {
-	if got := len(boreas.Workloads()); got != 27 {
-		t.Fatalf("Workloads() = %d, want 27", got)
+	if got := len(workload.DefaultSet().Catalog()); got != 27 {
+		t.Fatalf("catalogue has %d workloads, want 27", got)
 	}
-	if len(boreas.TrainWorkloads())+len(boreas.TestWorkloads()) != 27 {
+	if len(boreas.TrainWorkloads())+len(workload.DefaultSet().TestNames()) != 27 {
 		t.Fatal("train+test != 27")
 	}
 	w, err := boreas.WorkloadByName("gromacs")
@@ -50,11 +55,11 @@ func TestAPISeverityParams(t *testing.T) {
 }
 
 func TestAPIFeatureNames(t *testing.T) {
-	if len(boreas.FeatureNames()) != 78 {
-		t.Fatal("FeatureNames() != 78")
+	if len(telemetry.FullFeatureNames()) != 78 {
+		t.Fatal("FullFeatureNames() != 78")
 	}
-	if len(boreas.TableIVFeatures()) != 20 {
-		t.Fatal("TableIVFeatures() != 20")
+	if len(telemetry.TableIVFeatureNames()) != 20 {
+		t.Fatal("TableIVFeatureNames() != 20")
 	}
 }
 
@@ -119,15 +124,15 @@ func TestAPIThermalBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := boreas.BuildCriticalTemps(context.Background(), pipe, []string{"calculix"}, []float64{3.75, 4.25}, 36, boreas.DefaultSensorIndex, 1)
+	sw, err := boreas.SweepStatic(context.Background(), pipe, []string{"calculix"}, []float64{3.75, 4.25}, 36, boreas.DefaultSensorIndex, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	th := boreas.NewThermalController(ct, 0)
+	th := control.NewThermalController(sw.CriticalTemps(), 0)
 	if th.Name() != "TH-00" {
 		t.Fatalf("name %s", th.Name())
 	}
-	ot, err := boreas.BuildOracle(context.Background(), pipe, []string{"calculix"}, []float64{3.75, 4.25}, 36, 1)
+	ot, err := sw.Oracle()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +142,7 @@ func TestAPIThermalBaseline(t *testing.T) {
 }
 
 func TestAPILabQuick(t *testing.T) {
-	cfg := boreas.QuickExperimentConfig()
+	cfg := experiments.QuickConfig()
 	if _, err := boreas.NewLab(cfg); err != nil {
 		t.Fatal(err)
 	}

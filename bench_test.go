@@ -551,8 +551,8 @@ func BenchmarkParallel_StaticSweep(b *testing.B) {
 	for _, j := range []int{1, 4} {
 		b.Run(fmt.Sprintf("j%d", j), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := engine.BuildOracle(context.Background(), p,
-					cfg.Workloads, cfg.Frequencies, cfg.StepsPerRun, j); err != nil {
+				if _, err := engine.SweepStatic(context.Background(), p,
+					cfg.Workloads, cfg.Frequencies, cfg.StepsPerRun, cfg.SensorIndex, j); err != nil {
 					b.Fatal(err)
 				}
 			}

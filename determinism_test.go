@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	boreas "github.com/hotgauge/boreas"
+	"github.com/hotgauge/boreas/internal/ml/gbt"
 )
 
 // The execution engine promises bit-identical artefacts at any worker
@@ -84,14 +85,14 @@ func TestDeterminism_BuildWalkDataset(t *testing.T) {
 }
 
 func TestDeterminism_TrainedModel(t *testing.T) {
-	testDeterminismTrainedModel(t, boreas.GBTMethodExact)
+	testDeterminismTrainedModel(t, gbt.MethodExact)
 }
 
 // The histogram-binned fast path makes the same promise: per-feature
 // histograms are accumulated in global instance order and merged in
 // feature order, so the fan-out width never shows in the model bytes.
 func TestDeterminism_TrainedModelHist(t *testing.T) {
-	testDeterminismTrainedModel(t, boreas.GBTMethodHist)
+	testDeterminismTrainedModel(t, gbt.MethodHist)
 }
 
 func testDeterminismTrainedModel(t *testing.T, method string) {

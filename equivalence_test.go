@@ -244,7 +244,11 @@ func TestEquivalence_OraclePeaks(t *testing.T) {
 	}
 
 	for _, j := range []int{1, 8} {
-		table, err := engine.BuildOracle(context.Background(), p, workloads, freqs, steps, j)
+		sw, err := engine.SweepStatic(context.Background(), p, workloads, freqs, steps, sim.DefaultSensorIndex, j)
+		if err != nil {
+			t.Fatalf("sweep at -j%d: %v", j, err)
+		}
+		table, err := sw.Oracle()
 		if err != nil {
 			t.Fatalf("oracle at -j%d: %v", j, err)
 		}
@@ -301,10 +305,11 @@ func TestEquivalence_CriticalTemps(t *testing.T) {
 	}
 
 	for _, j := range []int{1, 8} {
-		ct, err := engine.BuildCriticalTemps(context.Background(), p, workloads, freqs, steps, sensorIndex, j)
+		sw, err := engine.SweepStatic(context.Background(), p, workloads, freqs, steps, sensorIndex, j)
 		if err != nil {
 			t.Fatalf("crit temps at -j%d: %v", j, err)
 		}
+		ct := sw.CriticalTemps()
 		if !reflect.DeepEqual(ct.PerWorkload, want) {
 			t.Fatalf("-j%d: streamed crit temps %v differ from materialized %v", j, ct.PerWorkload, want)
 		}
@@ -327,12 +332,12 @@ func TestEquivalence_RunLoop(t *testing.T) {
 	lc.Steps = 60
 	lc.DecisionPeriod = 12
 
-	table, err := engine.BuildCriticalTemps(context.Background(), p, []string{"gromacs", "gamess"},
+	sw, err := engine.SweepStatic(context.Background(), p, []string{"gromacs", "gamess"},
 		[]float64{3.5, 3.75, 4.0, 4.25, 4.5}, 48, lc.SensorIndex, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl := control.NewThermalController(table, 0)
+	ctrl := control.NewThermalController(sw.CriticalTemps(), 0)
 
 	// Materialized reference: the seed RunLoop body.
 	pr, err := p.Clone()

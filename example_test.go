@@ -91,3 +91,38 @@ func ExampleTrainPredictor() {
 	// Output:
 	// model: 20 trees over 20 features, 1200 B of weights
 }
+
+// ExampleNewSession is the serving loop of README's "Serving a fleet":
+// train once, then decide on every observation one chip reports. It has
+// no Output line, so it is compiled but not run.
+func ExampleNewSession() {
+	ds, err := boreas.BuildDataset(context.Background(), boreas.DefaultBuildConfig(boreas.TrainWorkloads(), boreas.Frequencies()))
+	if err != nil {
+		log.Fatal(err)
+	}
+	pred, err := boreas.TrainPredictor(ds, boreas.DefaultTrainConfig()) // train once...
+	if err != nil {
+		log.Fatal(err)
+	}
+	ml05, err := boreas.NewMLController(pred, 0.05)
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	sess, err := boreas.NewSession(boreas.SessionConfig{
+		Controller: ml05, StartFreq: 3.75,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	for obs := range telemetryStream() { // ...decide forever
+		d := sess.Decide(obs) // obs: counters + sensor temp
+		applyFrequency(d.Freq)
+	}
+}
+
+// telemetryStream and applyFrequency stand in for a chip's telemetry
+// source and its DVFS driver.
+func telemetryStream() <-chan boreas.Observation { return nil }
+
+func applyFrequency(fGHz float64) {}

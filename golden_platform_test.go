@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/hotgauge/boreas"
+	"github.com/hotgauge/boreas/internal/experiments"
 )
 
 // goldenQuickLab holds values captured from the pre-platform-refactor
@@ -78,7 +79,7 @@ var goldenQuickLab = struct {
 // the default platform and compares against the pre-refactor capture.
 func TestQuickLabMatchesPreRefactorGolden(t *testing.T) {
 	g := goldenQuickLab
-	cfg := boreas.QuickExperimentConfig()
+	cfg := experiments.QuickConfig()
 	cfg.Workers = 4
 	lab, err := boreas.NewLab(cfg)
 	if err != nil {
@@ -163,7 +164,7 @@ func TestQuickLabMatchesPreRefactorGolden(t *testing.T) {
 // and split. The mobile part must behave like a different chip: its
 // curve tops out at 4.5 GHz and its passive sink throttles harder.
 func TestMobilePlatformEndToEnd(t *testing.T) {
-	pf, err := boreas.PlatformByName("mobile-7nm")
+	pf, err := boreas.ResolvePlatform("mobile-7nm")
 	if err != nil {
 		t.Fatal(err)
 	}

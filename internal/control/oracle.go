@@ -8,7 +8,7 @@ import (
 // OracleTable is the §III-B upper bound: for every workload, the most
 // performant frequency whose peak ground-truth severity stays below 1.0
 // over the full trace. It is built from exhaustive static sweeps with
-// perfect knowledge (engine.BuildOracle), which no real controller has.
+// perfect knowledge (engine.StaticSweep.Oracle), which no real controller has.
 type OracleTable struct {
 	// Best[w] is the oracle frequency in GHz.
 	Best map[string]float64

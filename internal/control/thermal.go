@@ -11,7 +11,7 @@ import (
 // operating frequency, the lowest sensor temperature at which the chip's
 // ground-truth Hotspot-Severity was observed to reach 1.0. A frequency
 // with no observed incursion has threshold +Inf (always safe). Tables
-// are built from calibration sweeps by engine.BuildCriticalTemps.
+// are built from calibration sweeps by engine.StaticSweep.CriticalTemps.
 type CriticalTemps struct {
 	// PerWorkload[w][f] is the application-specific critical temperature.
 	PerWorkload map[string]map[float64]float64

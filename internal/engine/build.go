@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 
 	"github.com/hotgauge/boreas/internal/control"
 	"github.com/hotgauge/boreas/internal/runner"
@@ -12,69 +11,106 @@ import (
 	"github.com/hotgauge/boreas/internal/trace"
 )
 
-// critTempObserver streams one calibration run down to the lowest
-// delayed-sensor reading observed while the chip's ground-truth severity
-// was at or above 1.0 — the raw material of the critical-temperature
-// table — in O(1) memory. +Inf means the run never misbehaved.
-type critTempObserver struct {
-	sensor int
-	crit   float64
+// StaticSweep is a (workload, frequency) grid of fixed-frequency runs,
+// each reduced to the two numbers the static tables read: the oracle
+// (Fig 2) reads the peaks and the thermal-threshold table (Fig 4) the
+// critical temperatures. Both slices are in row-major (workload,
+// frequency) order: run (i, j) is at i*len(Freqs)+j.
+type StaticSweep struct {
+	Workloads []string
+	Freqs     []float64
+	// Peak is each run's peak ground-truth severity.
+	Peak []float64
+	// Crit is each run's critical temperature: the lowest delayed
+	// reading of the sweep's sensor while the chip's ground-truth
+	// severity was at or above 1.0, or +Inf if the run never got there.
+	// The threshold thus accounts for sensor placement *and* delay, as a
+	// calibration lab would measure it, which is why fast-spiking
+	// workloads produce brutally low thresholds at high frequency.
+	Crit []float64
 }
 
-func (o *critTempObserver) Begin(trace.Meta) { o.crit = math.Inf(1) }
-
-func (o *critTempObserver) Observe(step int, r *sim.StepResult) {
-	if r.Severity.Max >= 1.0 {
-		if t := r.SensorDelayed[o.sensor]; t < o.crit {
-			o.crit = t
-		}
-	}
-}
-
-func (o *critTempObserver) End() error { return nil }
-
-// BuildCriticalTemps runs fixed-frequency sweeps of the given workloads
-// and extracts critical temperatures from what the delayed sensor
-// reports, exactly as a calibration lab would: the threshold accounts for
-// sensor placement *and* delay, which is why fast-spiking workloads
-// produce brutally low thresholds at high frequency. The sweep fans
-// across workers pipeline clones of p (0 or negative: one worker per
-// CPU), and the table is identical at any worker count.
-func BuildCriticalTemps(ctx context.Context, p *sim.Pipeline, workloads []string, freqs []float64, steps, sensorIndex, workers int) (*control.CriticalTemps, error) {
+// SweepStatic runs every workload at every frequency for steps timesteps
+// and reduces each run to its peak severity and its critical temperature
+// on sensor sensorIndex. The runs fan across workers pipeline clones of p
+// (0 or negative: one worker per CPU); every run fully resets its clone
+// and lands at its own coordinates, so the sweep is identical at any
+// worker count. Each run streams through O(1)-memory reducers, whatever
+// the trace length.
+func SweepStatic(ctx context.Context, p *sim.Pipeline, workloads []string, freqs []float64, steps, sensorIndex, workers int) (*StaticSweep, error) {
 	if len(workloads) == 0 || len(freqs) == 0 {
 		return nil, fmt.Errorf("engine: empty workload or frequency list")
 	}
 	if sensorIndex < 0 || sensorIndex >= p.NumSensors() {
 		return nil, fmt.Errorf("engine: sensor index %d out of range", sensorIndex)
 	}
-	rows := make([]int, len(workloads))
-	critRow := make([]bool, len(workloads))
-	for i := range workloads {
-		rows[i], critRow[i] = i, true
-	}
-	runs, err := sweep(ctx, p, workloads, freqs, steps, workers, sensorIndex, critRow)
+	type run struct{ peak, crit float64 }
+	runs, err := runner.Map(ctx, workers, len(workloads)*len(freqs), func(ctx context.Context, i int) (run, error) {
+		pc, err := p.Clone()
+		if err != nil {
+			return run{}, err
+		}
+		var pr trace.PeakReducer
+		crit := math.Inf(1)
+		err = trace.RunStatic(pc, workloads[i/len(freqs)], freqs[i%len(freqs)], steps, &pr,
+			trace.ObserverFunc(func(_ int, r *sim.StepResult) {
+				if t := r.SensorDelayed[sensorIndex]; r.Severity.Max >= 1.0 && t < crit {
+					crit = t
+				}
+			}))
+		return run{pr.PeakSeverity, crit}, err
+	})
 	if err != nil {
 		return nil, err
 	}
-	return criticalTempsTable(workloads, rows, freqs, runs), nil
+	s := &StaticSweep{Workloads: workloads, Freqs: freqs, Peak: make([]float64, len(runs)), Crit: make([]float64, len(runs))}
+	for i, r := range runs {
+		s.Peak[i], s.Crit[i] = r.peak, r.crit
+	}
+	return s, nil
 }
 
-// criticalTempsTable assembles the critical-temperature table of the
-// named workloads from a sweep's runs: names[i]'s runs are row rows[i] of
-// the sweep, and each must have streamed through a critTempObserver.
-// Every builder of the table reduces through here.
-func criticalTempsTable(names []string, rows []int, freqs []float64, runs []sweepRun) *control.CriticalTemps {
-	ct := &control.CriticalTemps{
-		PerWorkload: make(map[string]map[float64]float64, len(names)),
-		Global:      make(map[float64]float64, len(freqs)),
+// Oracle reads the sweep as the static oracle: every workload's peak
+// severity per frequency, and its best frequency, the highest one whose
+// peak stays below 1.0. A workload with no such frequency is an error.
+func (s *StaticSweep) Oracle() (*control.OracleTable, error) {
+	t := &control.OracleTable{
+		Best: make(map[string]float64, len(s.Workloads)),
+		Peak: make(map[string]map[float64]float64, len(s.Workloads)),
 	}
-	for _, f := range freqs {
+	for i, name := range s.Workloads {
+		t.Peak[name] = make(map[float64]float64, len(s.Freqs))
+		best := math.Inf(-1)
+		for j, f := range s.Freqs {
+			peak := s.Peak[i*len(s.Freqs)+j]
+			t.Peak[name][f] = peak
+			if peak < 1.0 && f > best {
+				best = f
+			}
+		}
+		if math.IsInf(best, -1) {
+			return nil, fmt.Errorf("engine: workload %s has no safe frequency", name)
+		}
+		t.Best[name] = best
+	}
+	return t, nil
+}
+
+// CriticalTemps reads the sweep as the thermal-threshold table: every
+// workload's critical temperature per frequency, and per frequency the
+// lowest over the workloads.
+func (s *StaticSweep) CriticalTemps() *control.CriticalTemps {
+	ct := &control.CriticalTemps{
+		PerWorkload: make(map[string]map[float64]float64, len(s.Workloads)),
+		Global:      make(map[float64]float64, len(s.Freqs)),
+	}
+	for _, f := range s.Freqs {
 		ct.Global[f] = math.Inf(1)
 	}
-	for i, name := range names {
-		ct.PerWorkload[name] = make(map[float64]float64, len(freqs))
-		for fi, f := range freqs {
-			crit := runs[rows[i]*len(freqs)+fi].crit
+	for i, name := range s.Workloads {
+		ct.PerWorkload[name] = make(map[float64]float64, len(s.Freqs))
+		for j, f := range s.Freqs {
+			crit := s.Crit[i*len(s.Freqs)+j]
 			ct.PerWorkload[name][f] = crit
 			if crit < ct.Global[f] {
 				ct.Global[f] = crit
@@ -259,113 +295,4 @@ func rideLoop(p *sim.Pipeline, name string, cfg LoopConfig, margin int, riders [
 		return ride{}, err
 	}
 	return ride{incursions: cs.Summary().Incursions, riders: riders}, nil
-}
-
-// BuildOracle sweeps every workload over every frequency with perfect
-// knowledge, fanning the (workload, frequency) runs across workers
-// pipeline clones of p (0 or negative: one worker per CPU). The
-// assembled table is identical at any worker count: every run fully
-// resets its pipeline, and results are keyed by their coordinates.
-func BuildOracle(ctx context.Context, p *sim.Pipeline, workloads []string, freqs []float64, steps, workers int) (*control.OracleTable, error) {
-	if len(workloads) == 0 || len(freqs) == 0 {
-		return nil, fmt.Errorf("engine: empty workload or frequency list")
-	}
-	runs, err := sweep(ctx, p, workloads, freqs, steps, workers, 0, nil)
-	if err != nil {
-		return nil, err
-	}
-	return oracleTable(workloads, freqs, runs)
-}
-
-// BuildOracleCriticalTemps is BuildOracle whose sweep also
-// yields the critical-temperature table of critWorkloads, every one of
-// which must be among workloads, read through sensorIndex. Their runs
-// stream through the oracle's reducer and a critical-temperature
-// observer at once, so the table costs no run of its own. It equals
-// BuildCriticalTemps on the same pipeline, critWorkloads, freqs,
-// steps and sensor bit for bit: the runs are the same.
-func BuildOracleCriticalTemps(ctx context.Context, p *sim.Pipeline, workloads []string, freqs []float64, steps, workers int, critWorkloads []string, sensorIndex int) (*control.OracleTable, *control.CriticalTemps, error) {
-	if len(workloads) == 0 || len(freqs) == 0 || len(critWorkloads) == 0 {
-		return nil, nil, fmt.Errorf("engine: empty workload or frequency list")
-	}
-	if sensorIndex < 0 || sensorIndex >= p.NumSensors() {
-		return nil, nil, fmt.Errorf("engine: sensor index %d out of range", sensorIndex)
-	}
-	rows := make([]int, len(critWorkloads))
-	critRow := make([]bool, len(workloads))
-	for i, name := range critWorkloads {
-		r := slices.Index(workloads, name)
-		if r < 0 {
-			return nil, nil, fmt.Errorf("engine: critical-temperature workload %s is not in the oracle sweep", name)
-		}
-		rows[i], critRow[r] = r, true
-	}
-	runs, err := sweep(ctx, p, workloads, freqs, steps, workers, sensorIndex, critRow)
-	if err != nil {
-		return nil, nil, err
-	}
-	ot, err := oracleTable(workloads, freqs, runs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ot, criticalTempsTable(critWorkloads, rows, freqs, runs), nil
-}
-
-// oracleTable assembles the oracle from a sweep's runs over workloads.
-func oracleTable(workloads []string, freqs []float64, runs []sweepRun) (*control.OracleTable, error) {
-	t := &control.OracleTable{
-		Best: make(map[string]float64, len(workloads)),
-		Peak: make(map[string]map[float64]float64, len(workloads)),
-	}
-	for wi, name := range workloads {
-		t.Peak[name] = make(map[float64]float64, len(freqs))
-		best := math.Inf(-1)
-		for fi, f := range freqs {
-			peak := runs[wi*len(freqs)+fi].peak
-			t.Peak[name][f] = peak
-			if peak < 1.0 && f > best {
-				best = f
-			}
-		}
-		if math.IsInf(best, -1) {
-			return nil, fmt.Errorf("engine: workload %s has no safe frequency", name)
-		}
-		t.Best[name] = best
-	}
-	return t, nil
-}
-
-// sweepRun is one static run of a sweep, reduced.
-type sweepRun struct {
-	// peak is the run's peak ground-truth severity.
-	peak float64
-	// crit is the run's critical temperature, on the rows the sweep
-	// observed for it (see critTempObserver).
-	crit float64
-}
-
-// sweep runs the full (workload, frequency) grid of static runs in
-// parallel and returns their reductions in row-major (workload,
-// frequency) order. Each task runs on its own clone of p and streams
-// through a trace.PeakReducer and, on the rows with critRow set, a
-// critTempObserver on the given sensor, so per-task memory is O(1) in
-// the trace length regardless of the worker count.
-func sweep(ctx context.Context, p *sim.Pipeline, workloads []string, freqs []float64, steps, workers, sensor int, critRow []bool) ([]sweepRun, error) {
-	return runner.Map(ctx, workers, len(workloads)*len(freqs), func(ctx context.Context, i int) (sweepRun, error) {
-		wi, f := i/len(freqs), freqs[i%len(freqs)]
-		pc, err := p.Clone()
-		if err != nil {
-			return sweepRun{}, err
-		}
-		var pr trace.PeakReducer
-		ct := critTempObserver{sensor: sensor}
-		obs := []trace.Observer{&pr}
-		if critRow != nil && critRow[wi] {
-			obs = append(obs, &ct)
-		}
-		if err := trace.RunStatic(pc, workloads[wi], f, steps, obs...); err != nil {
-			return sweepRun{}, err
-		}
-		return sweepRun{peak: pr.PeakSeverity, crit: ct.crit}, nil
-	})
 }

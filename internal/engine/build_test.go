@@ -3,7 +3,7 @@ package engine
 import (
 	"context"
 	"math"
-	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/hotgauge/boreas/internal/control"
@@ -11,19 +11,19 @@ import (
 	"github.com/hotgauge/boreas/internal/telemetry"
 )
 
-func smallTable(t *testing.T, p *sim.Pipeline) *control.CriticalTemps {
+func smallSweep(t *testing.T, p *sim.Pipeline) *StaticSweep {
 	t.Helper()
-	ct, err := BuildCriticalTemps(context.Background(), p, []string{"calculix", "gamess"},
+	sw, err := SweepStatic(context.Background(), p, []string{"calculix", "gamess"},
 		[]float64{3.75, 4.25, 4.75}, 60, sim.DefaultSensorIndex, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ct
+	return sw
 }
 
 func TestBuildCriticalTempsShape(t *testing.T) {
 	p := fastSim(t)
-	ct := smallTable(t, p)
+	ct := smallSweep(t, p).CriticalTemps()
 	// calculix at 4.75 must have a finite critical temperature; at 3.75
 	// it should be safe (infinite threshold).
 	if math.IsInf(ct.PerWorkload["calculix"][4.75], 1) {
@@ -46,11 +46,16 @@ func TestBuildCriticalTempsShape(t *testing.T) {
 
 func TestBuildCriticalTempsErrors(t *testing.T) {
 	p := fastSim(t)
-	if _, err := BuildCriticalTemps(context.Background(), p, nil, []float64{3.75}, 10, 0, 1); err == nil {
+	if _, err := SweepStatic(context.Background(), p, nil, []float64{3.75}, 10, 0, 1); err == nil {
 		t.Fatal("expected empty-workloads error")
 	}
-	if _, err := BuildCriticalTemps(context.Background(), p, []string{"gamess"}, []float64{3.75}, 10, 99, 1); err == nil {
-		t.Fatal("expected sensor-index error")
+	if _, err := SweepStatic(context.Background(), p, []string{"gamess"}, nil, 10, 0, 1); err == nil {
+		t.Fatal("expected empty-frequencies error")
+	}
+	for _, sensor := range []int{-1, 99} {
+		if _, err := SweepStatic(context.Background(), p, []string{"gamess"}, []float64{3.75}, 10, sensor, 1); err == nil {
+			t.Fatalf("expected sensor-index error for sensor %d", sensor)
+		}
 	}
 }
 
@@ -58,14 +63,14 @@ func TestThermalLoopSafeOnTrainingWorkload(t *testing.T) {
 	// The TH-00 controller built from a table covering the workload must
 	// keep it free of incursions in the closed loop.
 	p := fastSim(t)
-	ct, err := BuildCriticalTemps(context.Background(), p, []string{"calculix", "gamess", "gromacs"},
+	sw, err := SweepStatic(context.Background(), p, []string{"calculix", "gamess", "gromacs"},
 		p.VF().FrequencySteps(), 60, sim.DefaultSensorIndex, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultLoopConfig()
 	cfg.Steps = 72
-	th, err := CalibrateThermalMargin(context.Background(), p, ct, []string{"calculix", "gamess", "gromacs"}, cfg, 30, 1)
+	th, err := CalibrateThermalMargin(context.Background(), p, sw.CriticalTemps(), []string{"calculix", "gamess", "gromacs"}, cfg, 30, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +89,11 @@ func TestThermalLoopSafeOnTrainingWorkload(t *testing.T) {
 func TestOracleTable(t *testing.T) {
 	p := fastSim(t)
 	freqs := []float64{3.75, 4.25, 4.75}
-	ot, err := BuildOracle(context.Background(), p, []string{"calculix", "omnetpp"}, freqs, 60, 1)
+	sw, err := SweepStatic(context.Background(), p, []string{"calculix", "omnetpp"}, freqs, 60, sim.DefaultSensorIndex, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ot, err := sw.Oracle()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,8 +117,16 @@ func TestOracleTable(t *testing.T) {
 
 func TestBuildOracleErrors(t *testing.T) {
 	p := fastSim(t)
-	if _, err := BuildOracle(context.Background(), p, nil, []float64{3.75}, 10, 1); err == nil {
+	if _, err := SweepStatic(context.Background(), p, nil, []float64{3.75}, 10, sim.DefaultSensorIndex, 1); err == nil {
 		t.Fatal("expected empty error")
+	}
+	// calculix reaches severity 1.0 at 4.75 GHz (TestBuildCriticalTempsShape).
+	sw, err := SweepStatic(context.Background(), p, []string{"gamess", "calculix"}, []float64{4.75}, 60, sim.DefaultSensorIndex, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sw.Oracle(); err == nil || !strings.Contains(err.Error(), "calculix has no safe frequency") {
+		t.Fatalf("oracle of an unsafe workload: err %v, want calculix's no-safe-frequency error", err)
 	}
 }
 
@@ -177,12 +194,12 @@ func engineCochranDataset(t *testing.T) *telemetry.Dataset {
 func TestCochranClosedLoopRuns(t *testing.T) {
 	p := fastSim(t)
 	ds := engineCochranDataset(t)
-	ct, err := BuildCriticalTemps(context.Background(), p, []string{"calculix", "gamess"},
+	sw, err := SweepStatic(context.Background(), p, []string{"calculix", "gamess"},
 		[]float64{3.75, 4.0, 4.25, 4.5}, 40, sim.DefaultSensorIndex, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cr, err := control.TrainCochranReda(ds, ct, 0, control.DefaultCochranConfig())
+	cr, err := control.TrainCochranReda(ds, sw.CriticalTemps(), 0, control.DefaultCochranConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,39 +216,44 @@ func TestCochranClosedLoopRuns(t *testing.T) {
 	}
 }
 
-// TestOracleSweepYieldsCriticalTemps: one sweep gives both tables, each
-// bit-identical to its standalone builder, whatever rows of the sweep
-// the critical-temperature workloads occupy.
+// TestOracleSweepYieldsCriticalTemps: a workload's runs, and so both
+// tables' readings of them, do not depend on the rows it occupies in the
+// sweep or on the worker count.
 func TestOracleSweepYieldsCriticalTemps(t *testing.T) {
 	p := fastSim(t)
 	freqs := []float64{3.75, 4.25, 4.75}
-	all := []string{"gamess", "calculix", "omnetpp", "gromacs"}
-	crit := []string{"gromacs", "calculix"}
-	ot, ct, err := BuildOracleCriticalTemps(context.Background(), p, all, freqs, 60, 2, crit, sim.DefaultSensorIndex)
+	all, err := SweepStatic(context.Background(), p, []string{"gamess", "calculix", "omnetpp", "gromacs"}, freqs, 60, sim.DefaultSensorIndex, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantOT, err := BuildOracle(context.Background(), p, all, freqs, 60, 1)
+	sub, err := SweepStatic(context.Background(), p, []string{"gromacs", "calculix"}, freqs, 60, sim.DefaultSensorIndex, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCT, err := BuildCriticalTemps(context.Background(), p, crit, freqs, 60, sim.DefaultSensorIndex, 1)
+	ot, err := all.Oracle()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(ot, wantOT) {
-		t.Fatalf("oracle %+v, standalone %+v", ot, wantOT)
+	subOT, err := sub.Oracle()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(ct, wantCT) {
-		t.Fatalf("critical temperatures %+v, standalone %+v", ct, wantCT)
+	ct, subCT := all.CriticalTemps(), sub.CriticalTemps()
+	for _, name := range sub.Workloads {
+		for _, f := range freqs {
+			if math.Float64bits(ot.Peak[name][f]) != math.Float64bits(subOT.Peak[name][f]) {
+				t.Errorf("%s @%g: peak %v in the full sweep, %v in the subset", name, f, ot.Peak[name][f], subOT.Peak[name][f])
+			}
+			if math.Float64bits(ct.PerWorkload[name][f]) != math.Float64bits(subCT.PerWorkload[name][f]) {
+				t.Errorf("%s @%g: critical temperature %v in the full sweep, %v in the subset",
+					name, f, ct.PerWorkload[name][f], subCT.PerWorkload[name][f])
+			}
+		}
+		if ot.Best[name] != subOT.Best[name] {
+			t.Errorf("%s: best %v in the full sweep, %v in the subset", name, ot.Best[name], subOT.Best[name])
+		}
 	}
 	if math.IsInf(ct.PerWorkload["calculix"][4.75], 1) {
 		t.Fatal("calculix at 4.75 GHz should have a critical temperature")
-	}
-	if _, _, err := BuildOracleCriticalTemps(context.Background(), p, all, freqs, 60, 2, []string{"mcf"}, sim.DefaultSensorIndex); err == nil {
-		t.Fatal("expected an error for a critical-temperature workload outside the sweep")
-	}
-	if _, _, err := BuildOracleCriticalTemps(context.Background(), p, all, freqs, 60, 2, crit, 99); err == nil {
-		t.Fatal("expected sensor-index error")
 	}
 }

@@ -77,10 +77,11 @@ func quickCalibration(t *testing.T, seed uint64, workloads []string) (*sim.Pipel
 	if err != nil {
 		t.Fatal(err)
 	}
-	table, err := BuildCriticalTemps(context.Background(), p, workloads, quickFreqs, quickSteps, sim.DefaultSensorIndex, 2)
+	sw, err := SweepStatic(context.Background(), p, workloads, quickFreqs, quickSteps, sim.DefaultSensorIndex, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	table := sw.CriticalTemps()
 	lc := DefaultLoopConfig()
 	lc.Steps = quickSteps
 	lc.VF = p.VF()

@@ -122,10 +122,11 @@ func TestLoopResultJSONSafe(t *testing.T) {
 // artefact survives encoding/json.
 func TestBuildCriticalTempsMarshals(t *testing.T) {
 	p := fastSim(t)
-	ct, err := BuildCriticalTemps(context.Background(), p, []string{"gamess"}, []float64{2.0, 5.0}, 24, sim.DefaultSensorIndex, 1)
+	sw, err := SweepStatic(context.Background(), p, []string{"gamess"}, []float64{2.0, 5.0}, 24, sim.DefaultSensorIndex, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ct := sw.CriticalTemps()
 	if !math.IsInf(ct.Global[2.0], 1) {
 		t.Skipf("expected a +Inf sentinel at 2.0 GHz to exercise, got %v", ct.Global[2.0])
 	}

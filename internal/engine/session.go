@@ -16,7 +16,6 @@ import (
 	"fmt"
 
 	"github.com/hotgauge/boreas/internal/control"
-	"github.com/hotgauge/boreas/internal/platform"
 	"github.com/hotgauge/boreas/internal/power"
 )
 
@@ -106,16 +105,6 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 	s := &Session{ctrl: cfg.Controller, vf: vf, start: start}
 	s.Reset()
 	return s, nil
-}
-
-// NewPlatformSession builds a session for one chip of the given
-// platform: the platform's VF curve, starting at startFreq (0: the
-// curve's maximum).
-func NewPlatformSession(p *platform.Platform, ctrl control.Controller, startFreq float64) (*Session, error) {
-	if p == nil {
-		return nil, fmt.Errorf("engine: nil platform")
-	}
-	return NewSession(SessionConfig{Controller: ctrl, VF: p.VF, StartFreq: startFreq})
 }
 
 // Reset returns the session to its starting operating point, resets the

@@ -8,7 +8,6 @@ import (
 
 	"github.com/hotgauge/boreas/internal/control"
 	"github.com/hotgauge/boreas/internal/ml/gbt"
-	"github.com/hotgauge/boreas/internal/platform"
 	"github.com/hotgauge/boreas/internal/power"
 	"github.com/hotgauge/boreas/internal/rng"
 )
@@ -79,21 +78,6 @@ func TestSessionStampsAndClamps(t *testing.T) {
 	s.Reset()
 	if s.Freq() != 3.75 || s.Tick() != 0 || s.Stats.Decisions != 0 {
 		t.Fatalf("reset left freq=%v tick=%d stats=%+v", s.Freq(), s.Tick(), s.Stats)
-	}
-}
-
-func TestNewPlatformSession(t *testing.T) {
-	ctrl := &control.FixedController{ControllerName: "x", Frequency: 3.75}
-	if _, err := NewPlatformSession(nil, ctrl, 0); err == nil {
-		t.Fatal("expected nil-platform error")
-	}
-	p := platform.Default()
-	s, err := NewPlatformSession(p, ctrl, 3.75)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.VF().MaxGHz() != p.VF.MaxGHz() {
-		t.Fatal("session did not adopt the platform's VF curve")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/hotgauge/boreas/internal/sim"
+	"github.com/hotgauge/boreas/internal/trace"
 	"github.com/hotgauge/boreas/internal/workload"
 )
 
@@ -28,11 +29,9 @@ type ChipStream struct {
 	// trace, when set (by RunLoop only), receives the per-step series.
 	trace *LoopResult
 
-	steps        int
-	sumFreq      float64
-	peakSeverity float64
-	peakMLTD     float64
-	incursions   int
+	// peaks folds every executed step, as it folds a static run's.
+	peaks   trace.PeakReducer
+	sumFreq float64
 }
 
 // StreamSummary aggregates what a ChipStream has simulated so far, with
@@ -105,17 +104,8 @@ func (cs *ChipStream) Advance(freq float64, steps int) (Observation, error) {
 		if err := cs.p.StepInto(cs.run, freq, &cs.scratch); err != nil {
 			return Observation{}, err
 		}
-		cs.steps++
+		cs.peaks.Observe(cs.peaks.Steps, &cs.scratch)
 		cs.sumFreq += freq
-		if cs.scratch.Severity.Max > cs.peakSeverity {
-			cs.peakSeverity = cs.scratch.Severity.Max
-		}
-		if cs.scratch.Severity.MaxMLTD > cs.peakMLTD {
-			cs.peakMLTD = cs.scratch.Severity.MaxMLTD
-		}
-		if cs.scratch.Severity.Max >= 1.0 {
-			cs.incursions++
-		}
 		if t := cs.trace; t != nil {
 			t.Freqs = append(t.Freqs, freq)
 			t.Severity = append(t.Severity, cs.scratch.Severity.Max)
@@ -127,7 +117,7 @@ func (cs *ChipStream) Advance(freq float64, steps int) (Observation, error) {
 		SensorTemp: cs.scratch.SensorDelayed[sensor],
 	}
 	if cs.cfg.CounterTap != nil {
-		cs.cfg.CounterTap.Apply(cs.steps-1, &obs.Counters)
+		cs.cfg.CounterTap.Apply(cs.peaks.Steps-1, &obs.Counters)
 	}
 	return obs, nil
 }
@@ -159,19 +149,19 @@ func (cs *ChipStream) Next(freq float64) (Observation, error) {
 }
 
 // Steps returns the number of timesteps executed so far.
-func (cs *ChipStream) Steps() int { return cs.steps }
+func (cs *ChipStream) Steps() int { return cs.peaks.Steps }
 
 // Summary reduces the stream's history to its aggregate scores.
 func (cs *ChipStream) Summary() StreamSummary {
 	s := StreamSummary{
 		Workload:     cs.run.Workload().Name,
-		Steps:        cs.steps,
-		PeakSeverity: cs.peakSeverity,
-		PeakMLTD:     cs.peakMLTD,
-		Incursions:   cs.incursions,
+		Steps:        cs.peaks.Steps,
+		PeakSeverity: cs.peaks.PeakSeverity,
+		PeakMLTD:     cs.peaks.PeakMLTD,
+		Incursions:   cs.peaks.Incursions,
 	}
-	if cs.steps > 0 {
-		s.AvgFreq = cs.sumFreq / float64(cs.steps)
+	if s.Steps > 0 {
+		s.AvgFreq = cs.sumFreq / float64(s.Steps)
 	}
 	return s
 }

@@ -4,16 +4,15 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"strconv"
+	"math"
 
 	"github.com/hotgauge/boreas/internal/checkpoint"
-	"github.com/hotgauge/boreas/internal/control"
 	"github.com/hotgauge/boreas/internal/engine"
 	"github.com/hotgauge/boreas/internal/ml/gbt"
 )
 
 // Checkpointed campaigns. When Config carries a checkpoint store, every
-// expensive lab artefact — the oracle, the threshold table, the TH-00
+// expensive lab artefact — the two static sweeps, the TH-00
 // calibration, the trained models — and every closed-loop grid cell is
 // persisted as its own content-addressed cell the moment it completes.
 // An interrupted campaign resumed against the same store replays
@@ -88,129 +87,34 @@ func jsonDec[T any](data []byte) (T, error) {
 	return v, err
 }
 
-// floatKey renders a float64 map key exactly; parseFloatKey inverts it.
-// JSON objects require string keys, and the shortest round-trip form is
-// bit-exact both ways.
-func floatKey(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
-
-func parseFloatKey(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
-
-// oracleCell mirrors control.OracleTable with string-encoded frequency
-// keys and values (values may not be ±Inf today, but string encoding
-// keeps the codec total either way).
-type oracleCell struct {
-	Best map[string]string            `json:"best"`
-	Peak map[string]map[string]string `json:"peak"`
+// encodeSweep stores a static sweep's runs as the bit patterns of their
+// (peak, critical temperature) pairs: a run that never reached severity
+// 1.0 has a critical temperature of +Inf, which JSON numbers cannot
+// carry. The workloads and frequencies are not stored; the campaign
+// scope keys them.
+func encodeSweep(s *engine.StaticSweep) ([]byte, error) {
+	bits := make([]uint64, 0, 2*len(s.Peak))
+	for i := range s.Peak {
+		bits = append(bits, math.Float64bits(s.Peak[i]), math.Float64bits(s.Crit[i]))
+	}
+	return json.Marshal(bits)
 }
 
-func encodeOracle(t *control.OracleTable) ([]byte, error) {
-	cell := oracleCell{Best: map[string]string{}, Peak: map[string]map[string]string{}}
-	for w, f := range t.Best {
-		cell.Best[w] = floatKey(f)
-	}
-	for w, row := range t.Peak {
-		m := map[string]string{}
-		for f, sev := range row {
-			m[floatKey(f)] = floatKey(sev)
-		}
-		cell.Peak[w] = m
-	}
-	return json.Marshal(cell)
-}
-
-func decodeOracle(data []byte) (*control.OracleTable, error) {
-	var cell oracleCell
-	if err := json.Unmarshal(data, &cell); err != nil {
+// decodeSweep inverts encodeSweep for the sweep of names over freqs.
+func decodeSweep(data []byte, names []string, freqs []float64) (*engine.StaticSweep, error) {
+	var bits []uint64
+	if err := json.Unmarshal(data, &bits); err != nil {
 		return nil, err
 	}
-	t := &control.OracleTable{
-		Best: make(map[string]float64, len(cell.Best)),
-		Peak: make(map[string]map[float64]float64, len(cell.Peak)),
+	n := len(names) * len(freqs)
+	if len(bits) != 2*n {
+		return nil, fmt.Errorf("sweep cell holds %d values, want %d", len(bits), 2*n)
 	}
-	for w, s := range cell.Best {
-		f, err := parseFloatKey(s)
-		if err != nil {
-			return nil, err
-		}
-		t.Best[w] = f
+	s := &engine.StaticSweep{Workloads: names, Freqs: freqs, Peak: make([]float64, n), Crit: make([]float64, n)}
+	for i := range n {
+		s.Peak[i], s.Crit[i] = math.Float64frombits(bits[2*i]), math.Float64frombits(bits[2*i+1])
 	}
-	for w, row := range cell.Peak {
-		m := make(map[float64]float64, len(row))
-		for fs, sevs := range row {
-			f, err := parseFloatKey(fs)
-			if err != nil {
-				return nil, err
-			}
-			sev, err := parseFloatKey(sevs)
-			if err != nil {
-				return nil, err
-			}
-			m[f] = sev
-		}
-		t.Peak[w] = m
-	}
-	return t, nil
-}
-
-// critTempsCell mirrors control.CriticalTemps. Threshold values are
-// string-encoded because "no incursion at any temperature" is +Inf,
-// which JSON cannot represent as a number.
-type critTempsCell struct {
-	PerWorkload map[string]map[string]string `json:"per_workload"`
-	Global      map[string]string            `json:"global"`
-}
-
-func encodeCritTemps(t *control.CriticalTemps) ([]byte, error) {
-	cell := critTempsCell{PerWorkload: map[string]map[string]string{}, Global: map[string]string{}}
-	for w, row := range t.PerWorkload {
-		m := map[string]string{}
-		for f, temp := range row {
-			m[floatKey(f)] = floatKey(temp)
-		}
-		cell.PerWorkload[w] = m
-	}
-	for f, temp := range t.Global {
-		cell.Global[floatKey(f)] = floatKey(temp)
-	}
-	return json.Marshal(cell)
-}
-
-func decodeCritTemps(data []byte) (*control.CriticalTemps, error) {
-	var cell critTempsCell
-	if err := json.Unmarshal(data, &cell); err != nil {
-		return nil, err
-	}
-	t := &control.CriticalTemps{
-		PerWorkload: make(map[string]map[float64]float64, len(cell.PerWorkload)),
-		Global:      make(map[float64]float64, len(cell.Global)),
-	}
-	for w, row := range cell.PerWorkload {
-		m := make(map[float64]float64, len(row))
-		for fs, temps := range row {
-			f, err := parseFloatKey(fs)
-			if err != nil {
-				return nil, err
-			}
-			temp, err := parseFloatKey(temps)
-			if err != nil {
-				return nil, err
-			}
-			m[f] = temp
-		}
-		t.PerWorkload[w] = m
-	}
-	for fs, temps := range cell.Global {
-		f, err := parseFloatKey(fs)
-		if err != nil {
-			return nil, err
-		}
-		temp, err := parseFloatKey(temps)
-		if err != nil {
-			return nil, err
-		}
-		t.Global[f] = temp
-	}
-	return t, nil
+	return s, nil
 }
 
 // th00Cell stores the calibration outcome only; the threshold table and

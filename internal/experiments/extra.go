@@ -131,11 +131,12 @@ func DelayStudy(l *Lab, name string, maxMargin float64) (*DelayStudyResult, erro
 		if err != nil {
 			return nil, err
 		}
-		ct, err := engine.BuildCriticalTemps(l.ctx, p, []string{name}, l.cfg.Frequencies,
+		sw, err := engine.SweepStatic(l.ctx, p, []string{name}, l.cfg.Frequencies,
 			l.cfg.StepsPerRun, l.cfg.SensorIndex, l.cfg.Workers)
 		if err != nil {
 			return nil, err
 		}
+		ct := sw.CriticalTemps()
 		lc := l.loopConfig()
 		th, err := engine.CalibrateThermalMargin(l.ctx, p, ct, []string{name}, lc, maxMargin, l.cfg.Workers)
 		if err != nil {

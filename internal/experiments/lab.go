@@ -14,8 +14,8 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sync"
-	"sync/atomic"
 
 	"github.com/hotgauge/boreas/internal/checkpoint"
 	"github.com/hotgauge/boreas/internal/control"
@@ -155,21 +155,16 @@ type Lab struct {
 	store *checkpoint.Store
 	scope checkpoint.Scope
 
-	pipeline  *sim.Pipeline
-	oracle    memo[*control.OracleTable]
-	critTemps memo[*control.CriticalTemps]
-	trainData memo[*telemetry.Dataset]
-	testData  memo[*telemetry.Dataset]
-	predictor memo[*core.Predictor]
-	fullModel memo[*gbt.Model] // trained on all 78 features (Table IV study)
-	th00      memo[*control.ThermalController]
-
-	// sweptCrit is the training-set critical-temperature table the
-	// oracle sweep observed, nil until a sweep has run in this Lab (an
-	// oracle replayed from a checkpoint runs none).
-	sweptCrit atomic.Pointer[control.CriticalTemps]
-	// critSweeps counts the standalone critical-temperature sweeps run.
-	critSweeps int
+	pipeline   *sim.Pipeline
+	trainSweep memo[*engine.StaticSweep]
+	testSweep  memo[*engine.StaticSweep]
+	oracle     memo[*control.OracleTable]
+	critTemps  memo[*control.CriticalTemps]
+	trainData  memo[*telemetry.Dataset]
+	testData   memo[*telemetry.Dataset]
+	predictor  memo[*core.Predictor]
+	fullModel  memo[*gbt.Model] // trained on all 78 features (Table IV study)
+	th00       memo[*control.ThermalController]
 }
 
 // NewLab validates the configuration and builds the pipeline.
@@ -214,41 +209,56 @@ func (l *Lab) Config() Config { return l.cfg }
 // (Pipeline.Clone) rather than sharing it across goroutines.
 func (l *Lab) Pipeline() *sim.Pipeline { return l.pipeline }
 
-// Oracle lazily builds the static-sweep oracle over every training and
-// test workload. The sweep's training-workload runs are the
-// critical-temperature sweep's runs too, so it also records that table
-// for CriticalTemps.
-func (l *Lab) Oracle() (*control.OracleTable, error) {
-	return l.oracle.get(func() (*control.OracleTable, error) {
-		return labCell(l, "oracle-table", []string{"oracle"}, encodeOracle, decodeOracle,
-			func() (*control.OracleTable, error) {
-				all := append(append([]string{}, l.cfg.TrainNames...), l.cfg.TestNames...)
-				ot, ct, err := engine.BuildOracleCriticalTemps(l.ctx, l.pipeline, all, l.cfg.Frequencies,
-					l.cfg.StepsPerRun, l.cfg.Workers, l.cfg.TrainNames, l.cfg.SensorIndex)
-				if err != nil {
-					return nil, err
-				}
-				l.sweptCrit.Store(ct)
-				return ot, nil
+// sweep lazily runs (or replays) the static sweep of the named
+// workloads over the campaign's frequencies: one memo and one checkpoint
+// cell per workload set, holding both the peaks and the critical
+// temperatures.
+func (l *Lab) sweep(m *memo[*engine.StaticSweep], set string, names []string) (*engine.StaticSweep, error) {
+	return m.get(func() (*engine.StaticSweep, error) {
+		return labCell(l, "static-sweep", []string{"sweep", set}, encodeSweep,
+			func(data []byte) (*engine.StaticSweep, error) { return decodeSweep(data, names, l.cfg.Frequencies) },
+			func() (*engine.StaticSweep, error) {
+				return engine.SweepStatic(l.ctx, l.pipeline, names, l.cfg.Frequencies,
+					l.cfg.StepsPerRun, l.cfg.SensorIndex, l.cfg.Workers)
 			})
 	})
 }
 
-// CriticalTemps lazily builds the training-set threshold table: from the
-// oracle sweep's runs when this Lab has swept them, else with a sweep of
-// its own (a campaign that never builds the oracle, or replays it from a
-// checkpoint). Both give the same table.
+// Oracle lazily reads the static-sweep oracle over every training and
+// test workload from the two sets' sweeps.
+func (l *Lab) Oracle() (*control.OracleTable, error) {
+	return l.oracle.get(func() (*control.OracleTable, error) {
+		train, err := l.sweep(&l.trainSweep, "train", l.cfg.TrainNames)
+		if err != nil {
+			return nil, err
+		}
+		test, err := l.sweep(&l.testSweep, "test", l.cfg.TestNames)
+		if err != nil {
+			return nil, err
+		}
+		ot, err := train.Oracle()
+		if err != nil {
+			return nil, err
+		}
+		tt, err := test.Oracle()
+		if err != nil {
+			return nil, err
+		}
+		maps.Copy(ot.Best, tt.Best)
+		maps.Copy(ot.Peak, tt.Peak)
+		return ot, nil
+	})
+}
+
+// CriticalTemps lazily reads the training-set threshold table from the
+// training sweep, the same runs the oracle reads.
 func (l *Lab) CriticalTemps() (*control.CriticalTemps, error) {
 	return l.critTemps.get(func() (*control.CriticalTemps, error) {
-		return labCell(l, "critical-temps", []string{"crittemps"}, encodeCritTemps, decodeCritTemps,
-			func() (*control.CriticalTemps, error) {
-				if ct := l.sweptCrit.Load(); ct != nil {
-					return ct, nil
-				}
-				l.critSweeps++
-				return engine.BuildCriticalTemps(l.ctx, l.pipeline, l.cfg.TrainNames,
-					l.cfg.Frequencies, l.cfg.StepsPerRun, l.cfg.SensorIndex, l.cfg.Workers)
-			})
+		train, err := l.sweep(&l.trainSweep, "train", l.cfg.TrainNames)
+		if err != nil {
+			return nil, err
+		}
+		return train.CriticalTemps(), nil
 	})
 }
 

@@ -333,7 +333,7 @@ func TestReplayConcurrentExtendAndReplay(t *testing.T) {
 func TestOracleSweepReplaysAfterSecondRun(t *testing.T) {
 	base, cfg := quickPipeline(t)
 	fam := newFamily(t, base)
-	if _, err := engine.BuildOracle(context.Background(), fam, replayWorkloads, cfg.Frequencies, cfg.StepsPerRun, 1); err != nil {
+	if _, err := engine.SweepStatic(context.Background(), fam, replayWorkloads, cfg.Frequencies, cfg.StepsPerRun, cfg.SensorIndex, 1); err != nil {
 		t.Fatal(err)
 	}
 	perRun := int64(cfg.Sim.WarmStartProbeSteps + cfg.StepsPerRun)

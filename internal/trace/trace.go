@@ -73,35 +73,6 @@ func (f ObserverFunc) Observe(step int, r *sim.StepResult) { f(step, r) }
 // End implements Observer.
 func (f ObserverFunc) End() error { return nil }
 
-// Tee fans one observer stream out to several observers, in order. Drive
-// already accepts multiple observers; Tee is for APIs that take exactly
-// one.
-func Tee(obs ...Observer) Observer { return tee(obs) }
-
-type tee []Observer
-
-func (t tee) Begin(meta Meta) {
-	for _, o := range t {
-		o.Begin(meta)
-	}
-}
-
-func (t tee) Observe(step int, r *sim.StepResult) {
-	for _, o := range t {
-		o.Observe(step, r)
-	}
-}
-
-func (t tee) End() error {
-	var first error
-	for _, o := range t {
-		if err := o.End(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
 // Drive warm state is the caller's business: Drive itself performs no
 // Reset/WarmStart, it advances p exactly steps timesteps from wherever
 // it stands, asking freqFn for the operating frequency of each step

@@ -180,31 +180,6 @@ func TestObserversAreReusable(t *testing.T) {
 	}
 }
 
-// TestTeeAndObserverFunc exercises composition: a Tee must forward
-// Begin/Observe/End to every child in order.
-func TestTeeAndObserverFunc(t *testing.T) {
-	cfg := sim.DefaultConfig()
-	cfg.Thermal.NX, cfg.Thermal.NY = 24, 18
-	cfg.WarmStartProbeSteps = 5
-	const steps = 10
-
-	p, err := sim.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	countA, countB := 0, 0
-	obs := trace.Tee(
-		trace.ObserverFunc(func(step int, r *sim.StepResult) { countA++ }),
-		trace.ObserverFunc(func(step int, r *sim.StepResult) { countB++ }),
-	)
-	if err := trace.RunStatic(p, "mcf", 3.5, steps, obs); err != nil {
-		t.Fatal(err)
-	}
-	if countA != steps || countB != steps {
-		t.Fatalf("tee children saw %d/%d steps, want %d", countA, countB, steps)
-	}
-}
-
 type endErrObserver struct{ err error }
 
 func (o *endErrObserver) Begin(trace.Meta)             {}
@@ -315,7 +290,7 @@ func TestDriveMetaAndFreqFn(t *testing.T) {
 	schedule := []float64{3.5, 3.5, 3.75, 3.75, 4.0, 4.0, 3.5, 3.5}
 	err = trace.Drive(p, run, func(step int) float64 { return schedule[step] }, steps,
 		trace.ObserverFunc(func(step int, r *sim.StepResult) {}),
-		trace.Tee(&rec, observeMeta(&meta)))
+		&rec, observeMeta(&meta))
 	if err != nil {
 		t.Fatal(err)
 	}
