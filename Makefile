@@ -4,14 +4,15 @@
 # the race detector over every package (the execution engine makes the
 # campaign layers concurrent, so the race detector is part of the gate),
 # a short fuzz smoke over the model deserializer (the one parser that
-# eats externally supplied bytes), and an end-to-end smoke that builds
-# every example and pushes a platform scenario file through each CLI.
+# eats externally supplied bytes), an end-to-end smoke that builds
+# every example and pushes a platform scenario file through each CLI,
+# and the paper-scale Fig 7 headline diffed against full_campaign.txt.
 
 GO ?= go
 GOFMT ?= gofmt
 SCENARIO := examples/platforms/mobile-7nm.json
 
-.PHONY: all fmt-check build vet test race fuzz-smoke bench-trace-smoke bench-warmstart-smoke bench-gbt-smoke bench-engine-smoke smoke soak-smoke serve-smoke loadtest-smoke ci paper-check bench clean
+.PHONY: all fmt-check build vet test race fuzz-smoke bench-trace-smoke bench-warmstart-smoke bench-gbt-smoke bench-engine-smoke smoke soak-smoke serve-smoke loadtest-smoke fig7-check ci paper-check bench clean
 
 all: build
 
@@ -69,8 +70,8 @@ bench-warmstart-smoke:
 	$(GO) test -run='^$$' -bench='^BenchmarkWarmStart$$' -benchtime=1x -benchmem ./internal/sim
 	$(GO) test -run='^$$' -bench='^BenchmarkSteadyState$$' -benchtime=1x -benchmem ./internal/thermal
 
-# One-iteration smoke of the trainer benchmark: exercises both the exact
-# and histogram-binned split searches end to end.
+# One-iteration smoke of the trainer benchmark: exercises the exact split
+# search end to end.
 bench-gbt-smoke:
 	$(GO) test -run='^$$' -bench='^BenchmarkTrain$$' -benchtime=1x .
 
@@ -149,7 +150,26 @@ loadtest-smoke:
 	rm -f smoke_loadtest smoke_replay_a.json smoke_replay_b.json; \
 	echo "loadtest smoke: 200 decisions, 0 divergences, byte-identical replay across concurrency, as intended"
 
-ci: fmt-check build vet test race fuzz-smoke bench-trace-smoke bench-warmstart-smoke bench-gbt-smoke bench-engine-smoke smoke soak-smoke serve-smoke loadtest-smoke
+# The paper's headline under the per-change fixed point: paper-scale
+# `boreas -experiment fig7 -j 2` (about 20 s on a 2-CPU host) must
+# reproduce the Fig 7 block of full_campaign.txt byte for byte, timing
+# lines removed as in paper-check. The quick Lab cannot stand in for it:
+# its three test workloads show no ML05 gain and no incursions. A change
+# that moves ML05's gain or its incursions re-records full_campaign.txt
+# (`go run ./cmd/boreas -experiment all -j 2`) in the same commit.
+fig7-check:
+	@$(GO) build -o fig7_boreas ./cmd/boreas; \
+	./fig7_boreas -experiment fig7 -j 2 > fig7_campaign.txt; code=$$?; rm -f fig7_boreas; \
+	fail() { echo "fig7 check: $$1"; rm -f fig7_campaign.txt fig7_want.txt fig7_got.txt; exit 1; }; \
+	[ $$code -eq 0 ] || fail "campaign exit $$code"; \
+	grep -v -e '\[.* took .*s\]$$' full_campaign.txt | sed -n '/^Fig 7:/,/^$$/p' > fig7_want.txt; \
+	grep -v -e '\[.* took .*s\]$$' fig7_campaign.txt | sed -n '/^Fig 7:/,/^$$/p' > fig7_got.txt; \
+	[ -s fig7_want.txt ] || fail "no Fig 7 block in full_campaign.txt"; \
+	diff fig7_want.txt fig7_got.txt || fail "Fig 7 differs from full_campaign.txt (lines above)"; \
+	rm -f fig7_campaign.txt fig7_want.txt fig7_got.txt; \
+	echo "fig7 check: paper-scale Fig 7 matches full_campaign.txt"
+
+ci: fmt-check build vet test race fuzz-smoke bench-trace-smoke bench-warmstart-smoke bench-gbt-smoke bench-engine-smoke smoke soak-smoke serve-smoke loadtest-smoke fig7-check
 
 # Paper-scale fixed point, kept out of `make ci`: it runs the full
 # campaign (about 5 minutes on a 2-CPU host) and diffs its output

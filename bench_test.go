@@ -603,13 +603,11 @@ func BenchmarkRunStaticTrace(b *testing.B) {
 	})
 }
 
-// ---- GBT trainer benches (exact vs histogram-binned split search) ----
+// ---- GBT trainer bench ----
 
-// gbtBenchData lazily builds the moderate telemetry dataset shared by the
-// trainer benches: big enough that the split search dominates, small
-// enough that the one-shot ci smoke stays fast. At this size (60 trees)
-// the hist trainer is slower than the exact one; on the full 18 720-row
-// training dataset with 223 trees it is ~2x faster.
+// gbtBenchData lazily builds the moderate telemetry dataset of the
+// trainer bench: big enough that the split search dominates, small
+// enough that the one-shot ci smoke stays fast.
 var (
 	gbtBenchOnce sync.Once
 	gbtBenchDS   *telemetry.Dataset
@@ -634,28 +632,22 @@ func gbtBenchData(tb testing.TB) *telemetry.Dataset {
 	return gbtBenchDS
 }
 
-// BenchmarkTrain compares the exact split scanner against the
-// histogram-binned fast path on the same Table IV training matrix. The
-// two methods search different split spaces, so the models differ
-// slightly (bounded by TestHistMatchesExactWithinTolerance); each is
-// bit-identical at any -j.
+// BenchmarkTrain times the exact split scanner on the Table IV training
+// matrix at 60 trees; the model is bit-identical at any -j.
 func BenchmarkTrain(b *testing.B) {
 	sel, err := gbtBenchData(b).Select(telemetry.TableIVFeatureNames())
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, method := range []string{gbt.MethodExact, gbt.MethodHist} {
-		b.Run(method, func(b *testing.B) {
-			p := gbt.DefaultParams()
-			p.NumTrees = 60
-			p.Method = method
-			p.Workers = 4
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := gbt.Train(sel.X, sel.Y, sel.FeatureNames, p); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("exact", func(b *testing.B) {
+		p := gbt.DefaultParams()
+		p.NumTrees = 60
+		p.Workers = 4
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := gbt.Train(sel.X, sel.Y, sel.FeatureNames, p); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }

@@ -4,7 +4,7 @@
 //
 //	trainer -data train.csv -model boreas.gbt
 //	trainer -data train.csv -test test.csv -gridsearch
-//	trainer -data train.csv -method hist -j 4 -model boreas.gbt
+//	trainer -data train.csv -j 4 -model boreas.gbt
 //	trainer -model boreas.gbt -inspect
 //	trainer -data train.csv -platform mobile-7nm -model mobile.gbt
 //
@@ -12,12 +12,6 @@
 // registered name or a .json file): every workload in the CSV must exist
 // in that platform's catalogue, catching train/deploy mismatches before
 // a model is fitted for the wrong chip.
-//
-// -method selects the split search: "exact" scans every distinct value
-// (the default), "hist" pre-bins features into at most -bins quantile
-// bins (256 when unset) and scans bin histograms instead — much faster
-// on large datasets at a small, bounded accuracy cost. Both produce
-// models in the same format, bit-identical at any -j.
 //
 //	trainer -data train.csv -model boreas.gbt -checkpoint ckpt
 //
@@ -59,8 +53,6 @@ func main() {
 		alpha   = flag.Float64("alpha", 0.3, "learning rate")
 		gamma   = flag.Float64("gamma", 0, "min split loss")
 		allFeat = flag.Bool("all-features", false, "train on all 78 features instead of the Table IV top 20")
-		method  = flag.String("method", gbt.MethodExact, `split search: "exact" (full scan) or "hist" (histogram-binned fast path)`)
-		bins    = flag.Int("bins", 0, "histogram bin budget for -method hist (0 = 256)")
 		workers = flag.Int("j", runner.DefaultWorkers(), "split-search parallelism; the trained model is identical at any -j")
 		pfArg   = flag.String("platform", "", "optional platform (registered name or scenario .json) to cross-check the dataset's workloads against")
 	)
@@ -135,8 +127,7 @@ func main() {
 	}
 
 	params := gbt.Params{NumTrees: *trees, MaxDepth: *depth, LearningRate: *alpha,
-		Gamma: *gamma, Lambda: 1, MinChildWeight: 1, Workers: *workers,
-		Method: *method, MaxBins: *bins}
+		Gamma: *gamma, Lambda: 1, MinChildWeight: 1, Workers: *workers}
 
 	if *grid {
 		gridParams := []gbt.Params{}
@@ -170,8 +161,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("trained in %.1fs (%s, -j %d); train MSE: %.5f on %d instances\n",
-		time.Since(t0).Seconds(), *method, runner.Normalize(params.Workers), m.MSE(sel.X, sel.Y), sel.Len())
+	fmt.Printf("trained in %.1fs (-j %d); train MSE: %.5f on %d instances\n",
+		time.Since(t0).Seconds(), runner.Normalize(params.Workers), m.MSE(sel.X, sel.Y), sel.Len())
 
 	if *test != "" {
 		tds, _, err := readCSV(*test)

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	boreas "github.com/hotgauge/boreas"
-	"github.com/hotgauge/boreas/internal/ml/gbt"
 )
 
 // The execution engine promises bit-identical artefacts at any worker
@@ -85,23 +84,11 @@ func TestDeterminism_BuildWalkDataset(t *testing.T) {
 }
 
 func TestDeterminism_TrainedModel(t *testing.T) {
-	testDeterminismTrainedModel(t, gbt.MethodExact)
-}
-
-// The histogram-binned fast path makes the same promise: per-feature
-// histograms are accumulated in global instance order and merged in
-// feature order, so the fan-out width never shows in the model bytes.
-func TestDeterminism_TrainedModelHist(t *testing.T) {
-	testDeterminismTrainedModel(t, gbt.MethodHist)
-}
-
-func testDeterminismTrainedModel(t *testing.T, method string) {
 	ds := buildAt(t, 8)
 
 	train := func(workers int) *boreas.Predictor {
 		cfg := boreas.DefaultTrainConfig()
 		cfg.Params.NumTrees = 40
-		cfg.Params.Method = method
 		cfg.Params.Workers = workers
 		pred, err := boreas.TrainPredictor(ds, cfg)
 		if err != nil {

@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sort"
 )
 
 // FormatVersion is the on-disk checkpoint format. It participates in
@@ -95,16 +94,6 @@ func (m *Manifest) encode() ([]byte, error) {
 		return nil, fmt.Errorf("checkpoint: encoding manifest: %w", err)
 	}
 	return append(data, '\n'), nil
-}
-
-// Keys returns the cell keys in sorted order.
-func (m *Manifest) Keys() []string {
-	keys := make([]string, 0, len(m.Cells))
-	for k := range m.Cells {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // isHex reports whether s is exactly n lowercase-decodable hex chars.

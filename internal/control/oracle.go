@@ -1,9 +1,6 @@
 package control
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // OracleTable is the §III-B upper bound: for every workload, the most
 // performant frequency whose peak ground-truth severity stays below 1.0
@@ -34,14 +31,4 @@ func (t *OracleTable) GlobalLimit(freqs []float64) float64 {
 		}
 	}
 	return best
-}
-
-// OracleController returns a fixed controller pinned to the workload's
-// oracle frequency.
-func (t *OracleTable) OracleController(workload string) (*FixedController, error) {
-	f, ok := t.Best[workload]
-	if !ok {
-		return nil, fmt.Errorf("control: no oracle entry for %q", workload)
-	}
-	return &FixedController{ControllerName: "Oracle", Frequency: f}, nil
 }

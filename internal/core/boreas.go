@@ -163,17 +163,12 @@ func (p *Predictor) PredictChecked(k arch.Counters, sensorTemp float64) (float64
 	return p.predictRowChecked(p.features(k, sensorTemp))
 }
 
-// PredictAt returns the what-if prediction for running the next interval
-// at newFreq instead of the frequency the counters were collected at:
-// count features are scaled by the frequency ratio (the behaviour of the
-// same phase at a different clock), rates and the sensor reading are
-// carried over, and the operating-point features are rewritten.
-func (p *Predictor) PredictAt(k arch.Counters, sensorTemp, newFreq float64) float64 {
-	return p.predictRow(p.whatIfRow(k, sensorTemp, newFreq))
-}
-
-// PredictAtChecked is PredictAt with the non-finite input screen of
-// PredictChecked.
+// PredictAtChecked returns the what-if prediction for running the next
+// interval at newFreq instead of the frequency the counters were
+// collected at: count features are scaled by the frequency ratio (the
+// behaviour of the same phase at a different clock), rates and the sensor
+// reading are carried over, and the operating-point features are
+// rewritten. It applies the non-finite input screen of PredictChecked.
 func (p *Predictor) PredictAtChecked(k arch.Counters, sensorTemp, newFreq float64) (float64, error) {
 	return p.predictRowChecked(p.whatIfRow(k, sensorTemp, newFreq))
 }

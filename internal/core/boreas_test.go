@@ -121,11 +121,17 @@ func TestPredictAtScalesWithFrequency(t *testing.T) {
 	k := arch.Counters{FrequencyGHz: 3.75, Voltage: 0.9275, TotalCycles: 300000,
 		BusyCycles: 180000, CommittedInstructions: 240000,
 		CdbALUAccesses: 150000, ALUDutyCycle: 0.5}
-	same := pred.PredictAt(k, 75, 3.75)
-	if math.Abs(same-pred.Predict(k, 75)) > 1e-9 {
-		t.Fatal("PredictAt at the same frequency should equal Predict")
+	same, err := pred.PredictAtChecked(k, 75, 3.75)
+	if err != nil {
+		t.Fatal(err)
 	}
-	up := pred.PredictAt(k, 75, 4.75)
+	if math.Abs(same-pred.Predict(k, 75)) > 1e-9 {
+		t.Fatal("PredictAtChecked at the same frequency should equal Predict")
+	}
+	up, err := pred.PredictAtChecked(k, 75, 4.75)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if up <= same {
 		t.Fatalf("what-if at higher frequency should predict higher severity: %v vs %v", up, same)
 	}
@@ -245,17 +251,17 @@ func TestControllerNonFiniteCountersFailSafe(t *testing.T) {
 	}
 }
 
-// TestTrainPreservesMethodKnobs: defaulted hyper-parameters must not
-// wipe the run-time knobs (the histogram method in particular).
-func TestTrainPreservesMethodKnobs(t *testing.T) {
+// TestTrainPreservesWorkers: defaulted hyper-parameters must not wipe
+// the run-time Workers knob.
+func TestTrainPreservesWorkers(t *testing.T) {
 	ds := syntheticDataset(9, 600)
-	pred, err := Train(ds, TrainConfig{Params: gbt.Params{Method: gbt.MethodHist, MaxBins: 64}})
+	pred, err := Train(ds, TrainConfig{Params: gbt.Params{Workers: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := pred.Model().Params
-	if p.NumTrees != 223 || p.Method != gbt.MethodHist || p.MaxBins != 64 {
-		t.Fatalf("method knobs lost when defaulting: %+v", p)
+	if p.NumTrees != 223 || p.Workers != 3 {
+		t.Fatalf("Workers lost when defaulting: %+v", p)
 	}
 }
 

@@ -14,10 +14,8 @@ type TrainConfig struct {
 	// top-20 attributes.
 	Features []string
 	// Params are the GBT hyper-parameters; the zero value selects the
-	// paper's Table II configuration. The run-time knobs (Method, MaxBins,
-	// Workers) are honoured even when the hyper-parameters are defaulted,
-	// so selecting the histogram-binned trainer is just
-	// Params{Method: gbt.MethodHist}.
+	// paper's Table II configuration. The run-time Workers knob is
+	// honoured even when the hyper-parameters are defaulted.
 	Params gbt.Params
 }
 
@@ -51,9 +49,9 @@ func TrainContext(ctx context.Context, ds *telemetry.Dataset, cfg TrainConfig) (
 		cfg.Features = telemetry.TableIVFeatureNames()
 	}
 	if cfg.Params.NumTrees == 0 {
-		method, bins, workers := cfg.Params.Method, cfg.Params.MaxBins, cfg.Params.Workers
+		workers := cfg.Params.Workers
 		cfg.Params = gbt.DefaultParams()
-		cfg.Params.Method, cfg.Params.MaxBins, cfg.Params.Workers = method, bins, workers
+		cfg.Params.Workers = workers
 	}
 	sel, err := ds.Select(cfg.Features)
 	if err != nil {

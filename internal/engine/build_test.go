@@ -106,13 +106,6 @@ func TestOracleTable(t *testing.T) {
 		t.Fatalf("global limit %v should equal the most constrained oracle %v",
 			gl, ot.Best["calculix"])
 	}
-	ctrl, err := ot.OracleController("calculix")
-	if err != nil || ctrl.Frequency != ot.Best["calculix"] {
-		t.Fatalf("oracle controller wrong: %+v, %v", ctrl, err)
-	}
-	if _, err := ot.OracleController("nope"); err == nil {
-		t.Fatal("expected unknown-workload error")
-	}
 }
 
 func TestBuildOracleErrors(t *testing.T) {

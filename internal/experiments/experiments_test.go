@@ -276,6 +276,36 @@ func TestFig8Traces(t *testing.T) {
 	}
 }
 
+// TestFig9TrainsAtLabWorkers: Fig 9 trains every grid point at the Lab's
+// worker count, so `-j` bounds it; the grid's Workers 0 would mean one
+// worker per CPU. The curve does not depend on the worker count.
+func TestFig9TrainsAtLabWorkers(t *testing.T) {
+	grid := DefaultFig9Grid()[:2]
+	var curves []*Fig9Result
+	for _, workers := range []int{1, 3} {
+		l, err := NewLab(chaosConfig(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := Fig9MSEvsSize(l, grid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, pt := range r.Points {
+			if pt.Params.Workers != workers {
+				t.Fatalf("-j%d: point %d trained at Workers %d", workers, i, pt.Params.Workers)
+			}
+		}
+		curves = append(curves, r)
+	}
+	for i := range grid {
+		a, b := curves[0].Points[i], curves[1].Points[i]
+		if math.Float64bits(a.CVMSE) != math.Float64bits(b.CVMSE) || math.Float64bits(a.CVStd) != math.Float64bits(b.CVStd) {
+			t.Fatalf("point %d: -j1 MSE %v +- %v, -j3 %v +- %v", i, a.CVMSE, a.CVStd, b.CVMSE, b.CVStd)
+		}
+	}
+}
+
 func TestFig9Curve(t *testing.T) {
 	// A reduced grid keeps this fast; the shape assertions still bite.
 	grid := DefaultFig9Grid()[:5]

@@ -92,10 +92,11 @@ func (r *FleetStudyResult) Render() string {
 // Snapshot folds the fleet's per-chip session stats into the same
 // observability counters the serve daemon exposes on /metrics, so
 // offline campaigns and the live service render decision telemetry in
-// one format.
+// one format. Each chip's session is created once and never evicted.
 func (r *FleetStudyResult) Snapshot() obs.Snapshot {
 	m := obs.NewMetrics()
 	for _, c := range r.Fleet.Chips {
+		m.SessionsCreated.Add(1)
 		s := c.Stats
 		m.AddDecisions(uint64(s.Decisions), uint64(s.Throttles), uint64(s.Climbs), uint64(s.Holds), uint64(s.Clamped))
 	}

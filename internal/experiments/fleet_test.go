@@ -33,6 +33,10 @@ func TestFleetStudy(t *testing.T) {
 	if len(seeds) != len(f.Chips) {
 		t.Fatalf("fleet reused seeds: %d distinct over %d chips", len(seeds), len(f.Chips))
 	}
+	// Every live session was created once, one per chip.
+	if snap := r.Snapshot(); snap.Sessions != 5 || snap.SessionsCreated != 5 {
+		t.Fatalf("fleet snapshot: %d sessions live, %d created; want 5 and 5", snap.Sessions, snap.SessionsCreated)
+	}
 	text := r.Render()
 	if !strings.Contains(text, "fleet: avg") || !strings.Contains(text, "ML05") {
 		t.Fatalf("render missing summary:\n%s", text)

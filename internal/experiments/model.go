@@ -104,7 +104,9 @@ func TableIVFeatureImportance(l *Lab) (*TableIVResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	m20, err := gbt.Train(selTrain.X, selTrain.Y, selTrain.FeatureNames, gbt.DefaultParams())
+	params := gbt.DefaultParams()
+	params.Workers = l.cfg.Workers
+	m20, err := gbt.Train(selTrain.X, selTrain.Y, selTrain.FeatureNames, params)
 	if err != nil {
 		return nil, err
 	}
@@ -163,7 +165,8 @@ const fig9MaxInstances = 9000
 
 // Fig9MSEvsSize sweeps model sizes with grid-searched cross-validation,
 // reproducing the under/overfit curve. The grid spans tiny stumps to
-// oversized ensembles.
+// oversized ensembles. Every point trains at the Lab's worker count,
+// whatever Workers the grid carries.
 func Fig9MSEvsSize(l *Lab, grid []gbt.Params) (*Fig9Result, error) {
 	if len(grid) == 0 {
 		grid = DefaultFig9Grid()
@@ -189,6 +192,7 @@ func Fig9MSEvsSize(l *Lab, grid []gbt.Params) (*Fig9Result, error) {
 	res := &Fig9Result{}
 	bestMSE := -1.0
 	for _, p := range grid {
+		p.Workers = l.cfg.Workers
 		cv, err := gbt.LeaveOneGroupOut(sel.X, sel.Y, sel.Workloads, sel.FeatureNames, p)
 		if err != nil {
 			return nil, err

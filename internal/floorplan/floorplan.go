@@ -90,12 +90,6 @@ type Rect struct {
 // Area returns the rectangle area in m².
 func (r Rect) Area() float64 { return r.W * r.H }
 
-// CenterX returns the x coordinate of the rectangle centre.
-func (r Rect) CenterX() float64 { return r.X + r.W/2 }
-
-// CenterY returns the y coordinate of the rectangle centre.
-func (r Rect) CenterY() float64 { return r.Y + r.H/2 }
-
 // Contains reports whether the point (x, y) lies inside the rectangle
 // (inclusive of the lower/left edge, exclusive of the upper/right edge, so
 // adjacent rectangles partition the plane without double-claiming points).

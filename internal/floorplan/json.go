@@ -3,7 +3,6 @@ package floorplan
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 )
 
 // jsonFloorplan is the serialised form: dimensions in metres, blocks with
@@ -23,22 +22,6 @@ type jsonBlock struct {
 	H    float64 `json:"h_m"`
 }
 
-// WriteJSON serialises the floorplan, enabling custom layouts (e.g. the
-// hotspot-area-scaling studies the paper cites from HotGauge) to be
-// edited outside Go and loaded with ReadJSON.
-func (fp *Floorplan) WriteJSON(w io.Writer) error {
-	out := jsonFloorplan{DieW: fp.DieW, DieH: fp.DieH}
-	for _, b := range fp.Blocks {
-		out.Blocks = append(out.Blocks, jsonBlock{
-			Name: b.Name, Unit: b.Unit.String(),
-			X: b.Rect.X, Y: b.Rect.Y, W: b.Rect.W, H: b.Rect.H,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
 // UnitByName resolves a serialised unit name to its Unit value.
 func UnitByName(name string) (Unit, error) {
 	for u := Unit(0); int(u) < NumUnits; u++ {
@@ -52,8 +35,9 @@ func UnitByName(name string) (Unit, error) {
 // unitByName is the historical unexported spelling.
 func unitByName(name string) (Unit, error) { return UnitByName(name) }
 
-// MarshalJSON serialises the floorplan in the WriteJSON schema, so a
-// Floorplan can be embedded in larger documents (platform scenario files).
+// MarshalJSON serialises the floorplan, so a Floorplan can be embedded in
+// larger documents (platform scenario files) and custom layouts edited
+// outside Go.
 func (fp *Floorplan) MarshalJSON() ([]byte, error) {
 	out := jsonFloorplan{DieW: fp.DieW, DieH: fp.DieH}
 	for _, b := range fp.Blocks {
@@ -65,8 +49,8 @@ func (fp *Floorplan) MarshalJSON() ([]byte, error) {
 	return json.Marshal(out)
 }
 
-// UnmarshalJSON parses and fully validates an embedded floorplan (same
-// schema as ReadJSON).
+// UnmarshalJSON parses and fully validates an embedded floorplan, written
+// by MarshalJSON or authored by hand in the same schema.
 func (fp *Floorplan) UnmarshalJSON(data []byte) error {
 	var in jsonFloorplan
 	if err := json.Unmarshal(data, &in); err != nil {
@@ -89,27 +73,4 @@ func (fp *Floorplan) UnmarshalJSON(data []byte) error {
 	}
 	*fp = *built
 	return nil
-}
-
-// ReadJSON parses and validates a floorplan written by WriteJSON (or
-// authored by hand in the same schema).
-func ReadJSON(r io.Reader) (*Floorplan, error) {
-	var in jsonFloorplan
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&in); err != nil {
-		return nil, fmt.Errorf("floorplan: parsing JSON: %w", err)
-	}
-	blocks := make([]Block, 0, len(in.Blocks))
-	for _, b := range in.Blocks {
-		u, err := unitByName(b.Unit)
-		if err != nil {
-			return nil, err
-		}
-		blocks = append(blocks, Block{
-			Name: b.Name, Unit: u,
-			Rect: Rect{X: b.X, Y: b.Y, W: b.W, H: b.H},
-		})
-	}
-	return New(in.DieW, in.DieH, blocks)
 }

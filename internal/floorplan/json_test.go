@@ -1,19 +1,18 @@
 package floorplan
 
 import (
-	"bytes"
-	"strings"
+	"encoding/json"
 	"testing"
 )
 
 func TestJSONRoundTrip(t *testing.T) {
 	fp := SkylakeLike()
-	var buf bytes.Buffer
-	if err := fp.WriteJSON(&buf); err != nil {
+	data, err := json.Marshal(fp)
+	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadJSON(&buf)
-	if err != nil {
+	var back Floorplan
+	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
 	if back.DieW != fp.DieW || back.DieH != fp.DieH {
@@ -29,42 +28,31 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadJSONValidates(t *testing.T) {
+func TestUnmarshalJSONValidates(t *testing.T) {
 	// Overlapping blocks must be rejected by the same validation as New.
 	in := `{"die_w_m": 0.001, "die_h_m": 0.001, "blocks": [
 		{"name": "a", "unit": "ALU", "x_m": 0, "y_m": 0, "w_m": 0.0008, "h_m": 0.0008},
 		{"name": "b", "unit": "FPU", "x_m": 0.0004, "y_m": 0.0004, "w_m": 0.0004, "h_m": 0.0004}
 	]}`
-	if _, err := ReadJSON(strings.NewReader(in)); err == nil {
+	var fp Floorplan
+	if err := json.Unmarshal([]byte(in), &fp); err == nil {
 		t.Fatal("expected overlap error")
 	}
 }
 
-func TestReadJSONUnknownUnit(t *testing.T) {
+func TestUnmarshalJSONUnknownUnit(t *testing.T) {
 	in := `{"die_w_m": 0.001, "die_h_m": 0.001, "blocks": [
 		{"name": "a", "unit": "Nope", "x_m": 0, "y_m": 0, "w_m": 0.0005, "h_m": 0.0005}
 	]}`
-	if _, err := ReadJSON(strings.NewReader(in)); err == nil {
+	var fp Floorplan
+	if err := json.Unmarshal([]byte(in), &fp); err == nil {
 		t.Fatal("expected unknown-unit error")
 	}
 }
 
-func TestReadJSONUnknownField(t *testing.T) {
-	in := `{"die_w_m": 0.001, "die_h_m": 0.001, "bogus": 1, "blocks": []}`
-	if _, err := ReadJSON(strings.NewReader(in)); err == nil {
-		t.Fatal("expected unknown-field error")
-	}
-}
-
-func TestReadJSONGarbage(t *testing.T) {
-	if _, err := ReadJSON(strings.NewReader("not json")); err == nil {
+func TestUnmarshalJSONGarbage(t *testing.T) {
+	var fp Floorplan
+	if err := fp.UnmarshalJSON([]byte("not json")); err == nil {
 		t.Fatal("expected parse error")
-	}
-}
-
-func TestRectCenter(t *testing.T) {
-	r := Rect{X: 1, Y: 2, W: 4, H: 6}
-	if r.CenterX() != 3 || r.CenterY() != 5 {
-		t.Fatalf("centre = (%v, %v)", r.CenterX(), r.CenterY())
 	}
 }

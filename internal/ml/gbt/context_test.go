@@ -11,82 +11,78 @@ import (
 
 func TestTrainContextCancellation(t *testing.T) {
 	x, y := synth(11, 200)
-	for _, method := range []string{MethodExact, MethodHist} {
-		t.Run(method, func(t *testing.T) {
-			p := Params{NumTrees: 50, MaxDepth: 3, LearningRate: 0.3, Lambda: 1, MinChildWeight: 1, Method: method}
+	t.Run("exact", func(t *testing.T) {
+		p := Params{NumTrees: 50, MaxDepth: 3, LearningRate: 0.3, Lambda: 1, MinChildWeight: 1}
 
-			// Already-cancelled context: no model, a cancellation error.
-			ctx, cancel := context.WithCancel(context.Background())
-			cancel()
-			m, err := TrainContext(ctx, x, y, names3, p)
-			if m != nil || !errors.Is(err, context.Canceled) {
-				t.Fatalf("pre-cancelled train = %v, %v", m, err)
-			}
+		// Already-cancelled context: no model, a cancellation error.
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		m, err := TrainContext(ctx, x, y, names3, p)
+		if m != nil || !errors.Is(err, context.Canceled) {
+			t.Fatalf("pre-cancelled train = %v, %v", m, err)
+		}
 
-			// Cancel after a few rounds via the snapshot hook.
-			ctx, cancel = context.WithCancel(context.Background())
-			defer cancel()
-			_, err = TrainContextHooks(ctx, x, y, names3, p, TrainHooks{
-				SnapshotEvery: 5,
-				Snapshot:      func(*Model) error { cancel(); return nil },
-			})
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("mid-train cancel err = %v", err)
-			}
+		// Cancel after a few rounds via the snapshot hook.
+		ctx, cancel = context.WithCancel(context.Background())
+		defer cancel()
+		_, err = TrainContextHooks(ctx, x, y, names3, p, TrainHooks{
+			SnapshotEvery: 5,
+			Snapshot:      func(*Model) error { cancel(); return nil },
 		})
-	}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("mid-train cancel err = %v", err)
+		}
+	})
 }
 
 func TestSnapshotResumeBitIdentical(t *testing.T) {
 	x, y := synth(22, 300)
-	for _, method := range []string{MethodExact, MethodHist} {
-		t.Run(method, func(t *testing.T) {
-			p := Params{NumTrees: 40, MaxDepth: 3, LearningRate: 0.3, Lambda: 1, MinChildWeight: 1, SafetyWeight: 2, Method: method}
-			ref, err := Train(x, y, names3, p)
-			if err != nil {
-				t.Fatal(err)
-			}
+	t.Run("exact", func(t *testing.T) {
+		p := Params{NumTrees: 40, MaxDepth: 3, LearningRate: 0.3, Lambda: 1, MinChildWeight: 1, SafetyWeight: 2}
+		ref, err := Train(x, y, names3, p)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-			// Snapshot every 8 rounds, cancel right after the second
-			// snapshot, resume from it.
-			var snap *Model
-			snaps := 0
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			_, err = TrainContextHooks(ctx, x, y, names3, p, TrainHooks{
-				SnapshotEvery: 8,
-				Snapshot: func(m *Model) error {
-					snap = m
-					if snaps++; snaps == 2 {
-						cancel()
-					}
-					return nil
-				},
-			})
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("cancel err = %v", err)
-			}
-			if snap == nil || len(snap.Trees) != 16 {
-				t.Fatalf("snapshot has %d trees, want 16", len(snap.Trees))
-			}
-
-			resumed, err := TrainContextHooks(context.Background(), x, y, names3, p, TrainHooks{Resume: snap})
-			if err != nil {
-				t.Fatal(err)
-			}
-			refBytes, err := ref.Bytes()
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotBytes, err := resumed.Bytes()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(refBytes, gotBytes) {
-				t.Fatal("resumed model differs from uninterrupted run")
-			}
+		// Snapshot every 8 rounds, cancel right after the second
+		// snapshot, resume from it.
+		var snap *Model
+		snaps := 0
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		_, err = TrainContextHooks(ctx, x, y, names3, p, TrainHooks{
+			SnapshotEvery: 8,
+			Snapshot: func(m *Model) error {
+				snap = m
+				if snaps++; snaps == 2 {
+					cancel()
+				}
+				return nil
+			},
 		})
-	}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancel err = %v", err)
+		}
+		if snap == nil || len(snap.Trees) != 16 {
+			t.Fatalf("snapshot has %d trees, want 16", len(snap.Trees))
+		}
+
+		resumed, err := TrainContextHooks(context.Background(), x, y, names3, p, TrainHooks{Resume: snap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		refBytes, err := ref.Bytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotBytes, err := resumed.Bytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(refBytes, gotBytes) {
+			t.Fatal("resumed model differs from uninterrupted run")
+		}
+	})
 }
 
 func TestResumeCompatibilityChecks(t *testing.T) {

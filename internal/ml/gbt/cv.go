@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"github.com/hotgauge/boreas/internal/runner"
 )
 
 // CVResult summarises a leave-one-group-out cross-validation: the paper's
@@ -59,92 +57,18 @@ func LeaveOneGroupOut(x [][]float64, y []float64, groups []string, featureNames 
 		}
 		res.PerGroup[hold] = m.MSE(vx, vy)
 	}
+	// Sum in sorted group order: float addition is not associative, and
+	// ranging over the map would make the mean depend on Go's random map
+	// order, so equal inputs could rank models differently.
 	sum, sumsq := 0.0, 0.0
-	for _, v := range res.PerGroup {
+	for _, g := range distinct {
+		v := res.PerGroup[g]
 		sum += v
 		sumsq += v * v
 	}
-	k := float64(len(res.PerGroup))
+	k := float64(len(distinct))
 	res.MeanMSE = sum / k
 	res.StdMSE = math.Sqrt(math.Max(0, sumsq/k-res.MeanMSE*res.MeanMSE))
-	return res, nil
-}
-
-// CrossValidate runs grouped k-fold cross-validation: distinct workloads
-// (groups) are assigned whole to folds by a stable hash of their name,
-// so no workload ever straddles the train/validation boundary and the
-// fold layout is independent of row order. Params (including Method) are
-// honoured per fold exactly as in LeaveOneGroupOut, of which this is the
-// cheaper cousin for k < number of workloads.
-//
-// The degenerate layouts fail loudly instead of silently producing
-// useless folds: k below 2, k exceeding the number of distinct
-// workloads, and a fold that ends up with no validation workloads (the
-// hash bucketed every workload elsewhere) are all descriptive errors.
-func CrossValidate(x [][]float64, y []float64, groups []string, featureNames []string, k int, p Params) (CVResult, error) {
-	if len(x) != len(y) || len(x) != len(groups) {
-		return CVResult{}, fmt.Errorf("gbt: cv inputs of different lengths (%d rows, %d labels, %d groups)",
-			len(x), len(y), len(groups))
-	}
-	if k < 2 {
-		return CVResult{}, fmt.Errorf("gbt: cv needs k >= 2 folds, got k=%d", k)
-	}
-	distinct := make([]string, 0)
-	seen := map[string]bool{}
-	for _, g := range groups {
-		if !seen[g] {
-			seen[g] = true
-			distinct = append(distinct, g)
-		}
-	}
-	if k > len(distinct) {
-		return CVResult{}, fmt.Errorf("gbt: cv k=%d exceeds the %d distinct workloads; folds hold out whole workloads, so k must be at most the workload count (use LeaveOneGroupOut for k == count)",
-			k, len(distinct))
-	}
-	sort.Strings(distinct)
-	foldOf := make(map[string]int, len(distinct))
-	foldSize := make([]int, k)
-	for _, g := range distinct {
-		f := int(runner.HashString(g) % uint64(k))
-		foldOf[g] = f
-		foldSize[f]++
-	}
-	for f, sz := range foldSize {
-		if sz == 0 {
-			return CVResult{}, fmt.Errorf("gbt: cv fold %d of %d is empty: the %d workloads all hashed into other folds; choose a smaller k",
-				f, k, len(distinct))
-		}
-	}
-
-	res := CVResult{Params: p, PerGroup: make(map[string]float64, k)}
-	for f := 0; f < k; f++ {
-		var tx [][]float64
-		var ty []float64
-		var vx [][]float64
-		var vy []float64
-		for i := range x {
-			if foldOf[groups[i]] == f {
-				vx = append(vx, x[i])
-				vy = append(vy, y[i])
-			} else {
-				tx = append(tx, x[i])
-				ty = append(ty, y[i])
-			}
-		}
-		m, err := Train(tx, ty, featureNames, p)
-		if err != nil {
-			return CVResult{}, fmt.Errorf("gbt: cv fold %d: %w", f, err)
-		}
-		res.PerGroup[fmt.Sprintf("fold%02d", f)] = m.MSE(vx, vy)
-	}
-	sum, sumsq := 0.0, 0.0
-	for _, v := range res.PerGroup {
-		sum += v
-		sumsq += v * v
-	}
-	kk := float64(len(res.PerGroup))
-	res.MeanMSE = sum / kk
-	res.StdMSE = math.Sqrt(math.Max(0, sumsq/kk-res.MeanMSE*res.MeanMSE))
 	return res, nil
 }
 

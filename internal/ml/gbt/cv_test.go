@@ -2,106 +2,35 @@ package gbt
 
 import (
 	"fmt"
-	"strings"
+	"math"
 	"testing"
-
-	"github.com/hotgauge/boreas/internal/runner"
 )
 
-// pickGroupNames searches for count workload names whose hash places
-// them in the given fold set under k folds, so the CV tests can steer
-// the deterministic hash-based fold assignment.
-func pickGroupNames(t *testing.T, k, count int, allowed func(fold int) bool) []string {
-	t.Helper()
-	names := make([]string, 0, count)
-	for i := 0; len(names) < count && i < 10000; i++ {
-		name := fmt.Sprintf("app%04d", i)
-		if allowed(int(runner.HashString(name) % uint64(k))) {
-			names = append(names, name)
-		}
+// TestLeaveOneGroupOutRepeatable: repeated calls on the same inputs return
+// bit-equal aggregates. The per-group MSEs are summed in sorted group
+// order; summing them in map order made the mean and standard deviation
+// differ by an ulp between calls, enough to flip a near-tie in Fig 9's
+// best-model choice or GridSearch's ranking.
+func TestLeaveOneGroupOutRepeatable(t *testing.T) {
+	x, y := synth(64, 21*30)
+	groups := make([]string, len(x))
+	for i := range groups {
+		groups[i] = fmt.Sprintf("app%02d", i%21)
 	}
-	if len(names) < count {
-		t.Fatalf("could not find %d names for the fold layout", count)
-	}
-	return names
-}
-
-func cvData(names []string, perGroup int) (x [][]float64, y []float64, groups []string) {
-	base, yy := synth(61, len(names)*perGroup)
-	for i := range base {
-		x = append(x, base[i])
-		y = append(y, yy[i])
-		groups = append(groups, names[i%len(names)])
-	}
-	return
-}
-
-func TestCrossValidateKFold(t *testing.T) {
-	// Six workloads spread over both folds of k=2.
-	var names []string
-	names = append(names, pickGroupNames(t, 2, 3, func(f int) bool { return f == 0 })...)
-	names = append(names, pickGroupNames(t, 2, 3, func(f int) bool { return f == 1 })...)
-	x, y, groups := cvData(names, 120)
-	p := Params{NumTrees: 10, MaxDepth: 2, LearningRate: 0.3, Lambda: 1, MinChildWeight: 1}
-	res, err := CrossValidate(x, y, groups, names3, 2, p)
+	p := Params{NumTrees: 5, MaxDepth: 2, LearningRate: 0.3, Lambda: 1, MinChildWeight: 1, Workers: 1}
+	first, err := LeaveOneGroupOut(x, y, groups, names3, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.PerGroup) != 2 {
-		t.Fatalf("expected 2 folds, got %d", len(res.PerGroup))
-	}
-	for fold, mse := range res.PerGroup {
-		if mse <= 0 || mse > 0.5 {
-			t.Fatalf("fold %s MSE implausible: %v", fold, mse)
+	for call := 1; call < 40; call++ {
+		res, err := LeaveOneGroupOut(x, y, groups, names3, p)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if res.MeanMSE <= 0 || res.StdMSE < 0 {
-		t.Fatalf("bad aggregates: %+v", res)
-	}
-}
-
-func TestCrossValidateKExceedsWorkloads(t *testing.T) {
-	x, y := synth(62, 60)
-	groups := make([]string, len(x))
-	for i := range groups {
-		groups[i] = []string{"app1", "app2", "app3"}[i%3]
-	}
-	p := Params{NumTrees: 5, MaxDepth: 2, LearningRate: 0.3, Lambda: 1, MinChildWeight: 1}
-	_, err := CrossValidate(x, y, groups, names3, 5, p)
-	if err == nil {
-		t.Fatal("k=5 over 3 workloads should be rejected")
-	}
-	if !strings.Contains(err.Error(), "exceeds") || !strings.Contains(err.Error(), "3 distinct workloads") {
-		t.Fatalf("error not descriptive: %v", err)
-	}
-}
-
-func TestCrossValidateEmptyFold(t *testing.T) {
-	// Three workloads that all hash into folds 0 and 1 of k=3, leaving
-	// fold 2 with no validation workloads.
-	names := pickGroupNames(t, 3, 3, func(f int) bool { return f != 2 })
-	x, y, groups := cvData(names, 40)
-	p := Params{NumTrees: 5, MaxDepth: 2, LearningRate: 0.3, Lambda: 1, MinChildWeight: 1}
-	_, err := CrossValidate(x, y, groups, names3, 3, p)
-	if err == nil {
-		t.Fatal("empty fold should be rejected")
-	}
-	if !strings.Contains(err.Error(), "empty") || !strings.Contains(err.Error(), "smaller k") {
-		t.Fatalf("error not descriptive: %v", err)
-	}
-}
-
-func TestCrossValidateSmallKAndLengths(t *testing.T) {
-	x, y := synth(63, 30)
-	groups := make([]string, len(x))
-	for i := range groups {
-		groups[i] = []string{"a", "b"}[i%2]
-	}
-	p := Params{NumTrees: 5, MaxDepth: 2, LearningRate: 0.3, Lambda: 1, MinChildWeight: 1}
-	if _, err := CrossValidate(x, y, groups, names3, 1, p); err == nil {
-		t.Fatal("k=1 should be rejected")
-	}
-	if _, err := CrossValidate(x, y[:10], groups, names3, 2, p); err == nil {
-		t.Fatal("length mismatch should be rejected")
+		if math.Float64bits(res.MeanMSE) != math.Float64bits(first.MeanMSE) ||
+			math.Float64bits(res.StdMSE) != math.Float64bits(first.StdMSE) {
+			t.Fatalf("call %d: mean %.17g std %.17g, first call mean %.17g std %.17g",
+				call, res.MeanMSE, res.StdMSE, first.MeanMSE, first.StdMSE)
+		}
 	}
 }

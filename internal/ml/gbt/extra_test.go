@@ -8,23 +8,6 @@ import (
 	"testing"
 )
 
-func TestPredictAll(t *testing.T) {
-	x, y := synth(20, 500)
-	m, err := Train(x, y, names3, Params{NumTrees: 10, MaxDepth: 2, LearningRate: 0.3, Lambda: 1, MinChildWeight: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	preds := m.PredictAll(x[:10])
-	if len(preds) != 10 {
-		t.Fatalf("PredictAll returned %d", len(preds))
-	}
-	for i, p := range preds {
-		if p != m.Predict(x[i]) {
-			t.Fatal("PredictAll disagrees with Predict")
-		}
-	}
-}
-
 func TestSafetyWeightBiasesUpward(t *testing.T) {
 	x, y := synth(21, 3000)
 	base := Params{NumTrees: 60, MaxDepth: 3, LearningRate: 0.3, Lambda: 1, MinChildWeight: 1}
@@ -162,7 +145,7 @@ func TestCVResultStdNonNegativeAndFinite(t *testing.T) {
 
 // TestTrainRejectsNonFinite: a NaN or ±Inf anywhere in the training
 // features or labels is an error wrapping ErrNonFinite that names the row
-// (and the feature), for both split-search methods. Before this screen a
+// (and the feature). Before this screen a
 // NaN label silently made every leaf NaN and a NaN feature broke the
 // exact trainer's sort.
 func TestTrainRejectsNonFinite(t *testing.T) {
@@ -180,23 +163,21 @@ func TestTrainRejectsNonFinite(t *testing.T) {
 		{"plus-inf-label", 0, -1, inf, "row 0 label = +Inf"},
 		{"minus-inf-label", 49, -1, -inf, "row 49 label = -Inf"},
 	} {
-		for _, method := range []string{MethodExact, MethodHist} {
-			t.Run(tc.name+"/"+method, func(t *testing.T) {
-				x, y := synth(31, 50)
-				if tc.feat < 0 {
-					y[tc.row] = tc.v
-				} else {
-					x[tc.row][tc.feat] = tc.v
-				}
-				p := Params{NumTrees: 2, MaxDepth: 2, LearningRate: 0.3, Lambda: 1, MinChildWeight: 1, Method: method}
-				m, err := Train(x, y, names3, p)
-				if m != nil || !errors.Is(err, ErrNonFinite) {
-					t.Fatalf("Train = %v, %v; want an ErrNonFinite error", m, err)
-				}
-				if !strings.Contains(err.Error(), tc.want) {
-					t.Fatalf("error %q does not name %q", err, tc.want)
-				}
-			})
-		}
+		t.Run(tc.name+"/exact", func(t *testing.T) {
+			x, y := synth(31, 50)
+			if tc.feat < 0 {
+				y[tc.row] = tc.v
+			} else {
+				x[tc.row][tc.feat] = tc.v
+			}
+			p := Params{NumTrees: 2, MaxDepth: 2, LearningRate: 0.3, Lambda: 1, MinChildWeight: 1}
+			m, err := Train(x, y, names3, p)
+			if m != nil || !errors.Is(err, ErrNonFinite) {
+				t.Fatalf("Train = %v, %v; want an ErrNonFinite error", m, err)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not name %q", err, tc.want)
+			}
+		})
 	}
 }

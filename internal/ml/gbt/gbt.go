@@ -18,20 +18,6 @@ import (
 	"github.com/hotgauge/boreas/internal/runner"
 )
 
-// Training methods selectable via Params.Method.
-const (
-	// MethodExact is the exact greedy split search: every boundary
-	// between adjacent distinct feature values in a node is a split
-	// candidate. This is the reference scanner and the default.
-	MethodExact = "exact"
-	// MethodHist is the histogram-binned split search: each feature is
-	// pre-binned once into at most MaxBins quantile bins and split
-	// candidates are the bin boundaries. Much faster on large datasets,
-	// bit-deterministic at any worker count, and within a small accuracy
-	// tolerance of the exact scanner (see hist.go).
-	MethodHist = "hist"
-)
-
 // Params are the training hyper-parameters (Table II vocabulary).
 type Params struct {
 	// NumTrees is n_estimators.
@@ -62,15 +48,6 @@ type Params struct {
 	// feature order. Workers is a run-time knob, not a model property,
 	// and is not serialised.
 	Workers int
-	// Method selects the split search: MethodExact ("" or "exact", the
-	// default) or MethodHist ("hist"). Like Workers it is a training-time
-	// knob, not a model property, and is not serialised: both methods
-	// produce the same Tree/Model representation.
-	Method string
-	// MaxBins bounds the per-feature quantile bins used by MethodHist;
-	// 0 means 256. Must be in [2, 256] (bins are stored as uint8).
-	// Ignored by MethodExact.
-	MaxBins int
 }
 
 // DefaultParams returns the paper's chosen configuration (Table II):
@@ -103,35 +80,11 @@ func (p Params) Validate() error {
 	if p.SafetyWeight < 0 {
 		return fmt.Errorf("gbt: negative safety weight")
 	}
-	switch p.Method {
-	case "", MethodExact, MethodHist:
-	default:
-		return fmt.Errorf("gbt: unknown method %q (want %q or %q)", p.Method, MethodExact, MethodHist)
-	}
-	if p.MaxBins != 0 && (p.MaxBins < 2 || p.MaxBins > 256) {
-		return fmt.Errorf("gbt: MaxBins %d outside [2,256]", p.MaxBins)
-	}
 	return nil
 }
 
-// method normalises the empty Method to MethodExact.
-func (p Params) method() string {
-	if p.Method == "" {
-		return MethodExact
-	}
-	return p.Method
-}
-
-// maxBins normalises the zero MaxBins to 256.
-func (p Params) maxBins() int {
-	if p.MaxBins == 0 {
-		return 256
-	}
-	return p.MaxBins
-}
-
 // leafValue converts node gradient/hessian aggregates into the (shrunk)
-// newton-step leaf weight. Shared by both split-search methods.
+// newton-step leaf weight.
 func (p Params) leafValue(g, h float64) float64 {
 	return p.LearningRate * g / (h + p.Lambda)
 }
@@ -240,28 +193,10 @@ func (m *Model) PredictChecked(x []float64) (float64, error) {
 	return m.Predict(x), nil
 }
 
-// PredictAll evaluates the ensemble on many rows. The batch is served
-// from the compiled flat representation (bit-identical to the pointer
-// walk, several times faster); a model whose trees cannot compile — only
-// possible for a malformed hand-built ensemble — falls back to the
-// pointer walk.
-func (m *Model) PredictAll(x [][]float64) []float64 {
-	out := make([]float64, len(x))
-	if c, err := m.Compile(); err == nil {
-		for i, row := range x {
-			out[i] = c.Predict(row)
-		}
-		return out
-	}
-	for i, row := range x {
-		out[i] = m.Predict(row)
-	}
-	return out
-}
-
-// MSE returns the mean squared error on a dataset. Like PredictAll it
-// runs on the compiled representation, which changes no bits of the
-// result.
+// MSE returns the mean squared error on a dataset. It runs on the
+// compiled representation (bit-identical to the pointer walk, several
+// times faster); a model whose trees cannot compile, only possible for a
+// malformed hand-built ensemble, falls back to the pointer walk.
 func (m *Model) MSE(x [][]float64, y []float64) float64 {
 	if len(x) == 0 {
 		return 0
@@ -276,15 +211,6 @@ func (m *Model) MSE(x [][]float64, y []float64) float64 {
 		s += d * d
 	}
 	return s / float64(len(x))
-}
-
-// treeBuilder grows one regression tree from the current gradient and
-// hessian vectors. Both split-search methods implement it over the same
-// shared grad/hess slices, so the boosting loop in Train is method-blind.
-// The context bounds the builder's internal fan-out; a tree built under
-// a cancelled context may be degenerate and is discarded by the caller.
-type treeBuilder interface {
-	buildTree(ctx context.Context) Tree
 }
 
 // trainer holds the level-wise exact-greedy split machinery. Each
@@ -324,7 +250,7 @@ const rise = math.MinInt32
 // independent per feature; it fans across the pool. Each slot is written
 // only by its own task, so the result is identical at any worker count.
 // A cancelled context leaves some columns unsorted; the boosting loop
-// re-checks the context before the builder is ever used.
+// re-checks the context before the trainer is ever used.
 func newExactTrainer(ctx context.Context, x [][]float64, grad, hess []float64, p Params) *trainer {
 	n, d := len(x), len(x[0])
 	tr := &trainer{p: p, x: x, grad: grad, hess: hess, nFeature: d}
@@ -387,8 +313,8 @@ func Train(x [][]float64, y []float64, featureNames []string, p Params) (*Model,
 }
 
 // TrainContext is Train with cancellation: the context is checked every
-// boosting round (both split-search methods), so a SIGINT or deadline
-// stops a long train within one round instead of running to completion.
+// boosting round, so a SIGINT or deadline stops a long train within one
+// round instead of running to completion.
 // The returned error wraps the context's cancellation cause.
 func TrainContext(ctx context.Context, x [][]float64, y []float64, featureNames []string, p Params) (*Model, error) {
 	return TrainContextHooks(ctx, x, y, featureNames, p, TrainHooks{})
@@ -437,13 +363,7 @@ func TrainContextHooks(ctx context.Context, x [][]float64, y []float64, featureN
 
 	grad := make([]float64, n)
 	hess := make([]float64, n)
-	var builder treeBuilder
-	switch p.method() {
-	case MethodHist:
-		builder = newHistTrainer(ctx, x, grad, hess, p)
-	default:
-		builder = newExactTrainer(ctx, x, grad, hess, p)
-	}
+	tr := newExactTrainer(ctx, x, grad, hess, p)
 
 	pred := make([]float64, n)
 	for i := range pred {
@@ -492,7 +412,7 @@ func TrainContextHooks(ctx context.Context, x [][]float64, y []float64, featureN
 			grad[i] = g
 			hess[i] = h
 		}
-		tree := builder.buildTree(ctx)
+		tree := tr.buildTree(ctx)
 		// A cancellation that lands mid-build yields a degenerate tree
 		// (feature scans cut short). Discard it rather than appending or
 		// snapshotting it: resumed models must only ever contain trees
@@ -600,7 +520,7 @@ func (tr *trainer) buildTree(ctx context.Context) Tree {
 			if best[i].feature < 0 || best[i].gain <= 0 {
 				// Leaf: newton step scaled by the learning rate.
 				tree.Nodes[id].Feature = -1
-				tree.Nodes[id].Value = -tr.grad2leaf(gTot[i], hTot[i])
+				tree.Nodes[id].Value = -p.leafValue(gTot[i], hTot[i])
 				continue
 			}
 			left := int32(len(tree.Nodes))
@@ -640,7 +560,7 @@ func (tr *trainer) buildTree(ctx context.Context) Tree {
 		for i, id := range active {
 			node := &tree.Nodes[id]
 			node.Feature = -1
-			node.Value = -tr.grad2leaf(g[i], h[i])
+			node.Value = -p.leafValue(g[i], h[i])
 		}
 		tr.clearSlots(active)
 	}
@@ -731,9 +651,4 @@ type scanAcc struct {
 	gTot, hTot, parent float64 // node totals and their score
 	gl, hl             float64 // sums over the node's instances scanned so far
 	lastRank, lastIdx  int32   // rank and index of the last of them
-}
-
-// grad2leaf converts node aggregates into the (shrunk) leaf weight.
-func (tr *trainer) grad2leaf(g, h float64) float64 {
-	return tr.p.leafValue(g, h)
 }

@@ -348,15 +348,6 @@ func TestDeterministicTraining(t *testing.T) {
 	}
 }
 
-func TestMSEOf(t *testing.T) {
-	if got := MSEOf([]float64{1, 2}, []float64{1, 4}); got != 2 {
-		t.Fatalf("MSEOf = %v, want 2", got)
-	}
-	if !math.IsNaN(MSEOf([]float64{1}, []float64{1, 2})) {
-		t.Fatal("length mismatch should return NaN")
-	}
-}
-
 // TestExactBuildTreeAllocsFlat pins the exact trainer's memory layout:
 // the per-instance state (sort order, ranks, node ids) is built once per
 // Train, so growing one tree allocates the same bytes at 1 000 and at

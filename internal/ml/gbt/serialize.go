@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 )
 
 // Binary model format: a compact little-endian encoding. Thresholds,
@@ -224,17 +223,4 @@ func max(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// MSEOf is a convenience for computing the MSE of arbitrary predictions.
-func MSEOf(pred, y []float64) float64 {
-	if len(pred) != len(y) || len(y) == 0 {
-		return math.NaN()
-	}
-	s := 0.0
-	for i := range y {
-		d := pred[i] - y[i]
-		s += d * d
-	}
-	return s / float64(len(y))
 }

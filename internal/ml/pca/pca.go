@@ -181,16 +181,3 @@ func (m *Model) TransformAll(x [][]float64) [][]float64 {
 	}
 	return out
 }
-
-// ExplainedRatio returns the fraction of total variance captured by the
-// kept components.
-func (m *Model) ExplainedRatio() float64 {
-	if m.TotalVariance == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, e := range m.Explained {
-		s += e
-	}
-	return s / m.TotalVariance
-}

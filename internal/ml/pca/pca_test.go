@@ -78,18 +78,6 @@ func TestComponentsOrthonormal(t *testing.T) {
 	}
 }
 
-func TestExplainedRatio(t *testing.T) {
-	x := anisotropic(4, 2000)
-	m1, _ := Fit(x, 1)
-	m2, _ := Fit(x, 2)
-	if r := m1.ExplainedRatio(); r < 0.95 {
-		t.Fatalf("first component should explain >95%% on anisotropic data, got %v", r)
-	}
-	if r := m2.ExplainedRatio(); math.Abs(r-1) > 1e-6 {
-		t.Fatalf("all components should explain 100%%, got %v", r)
-	}
-}
-
 func TestTransformReducesReconstructionError(t *testing.T) {
 	// Variance along dropped axes is small, so 1-D projection preserves
 	// pairwise structure: distances in projected space approximate

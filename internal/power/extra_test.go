@@ -7,13 +7,6 @@ import (
 	"github.com/hotgauge/boreas/internal/floorplan"
 )
 
-func TestNumBlocks(t *testing.T) {
-	m, fp := newModel(t)
-	if m.NumBlocks() != len(fp.Blocks) {
-		t.Fatalf("NumBlocks %d vs %d", m.NumBlocks(), len(fp.Blocks))
-	}
-}
-
 func TestLeakageClampAtRunaway(t *testing.T) {
 	m, _ := newModel(t)
 	// Past the 160 C clamp, leakage must stop growing (numerical safety).

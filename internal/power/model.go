@@ -128,9 +128,6 @@ func NewModel(fp *floorplan.Floorplan, cfg Config) (*Model, error) {
 // Config returns the model configuration.
 func (m *Model) Config() Config { return m.cfg }
 
-// NumBlocks returns the number of floorplan blocks the model covers.
-func (m *Model) NumBlocks() int { return len(m.kdyn) }
-
 // Dynamic returns the dynamic power of block b at the given activity
 // (0..1+), frequency (GHz) and voltage (V).
 func (m *Model) Dynamic(b int, activity, fGHz, v float64) float64 {

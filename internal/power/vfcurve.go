@@ -103,11 +103,6 @@ func (c VFCurve) FrequencySteps() []float64 {
 	return out
 }
 
-// NumSteps returns len(FrequencySteps()) without allocating.
-func (c VFCurve) NumSteps() int {
-	return int(math.Round((c.MaxGHz()-c.MinGHz())/c.StepGHz)) + 1
-}
-
 // ClampFrequency snaps f to the nearest legal step inside the DVFS range.
 // A NaN request fails safe to the minimum frequency.
 func (c VFCurve) ClampFrequency(fGHz float64) float64 {

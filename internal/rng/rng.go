@@ -83,23 +83,3 @@ func (s *Source) Bernoulli(p float64) bool {
 	}
 	return s.Float64() < p
 }
-
-// Perm returns a random permutation of [0, n), Fisher-Yates shuffled.
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Fork derives an independent child generator from this source combined
-// with a stream label, so that subsystems can obtain decorrelated streams
-// from one experiment seed without sharing mutable state.
-func (s *Source) Fork(label uint64) *Source {
-	return New(s.Uint64() ^ (label * 0x9e3779b97f4a7c15))
-}

@@ -3,7 +3,6 @@ package rng
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -125,42 +124,5 @@ func TestBernoulliRate(t *testing.T) {
 	rate := float64(hits) / n
 	if math.Abs(rate-0.3) > 0.01 {
 		t.Fatalf("Bernoulli(0.3) rate = %v", rate)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	f := func(seed uint64) bool {
-		s := New(seed)
-		n := 1 + s.Intn(64)
-		p := s.Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestForkDecorrelated(t *testing.T) {
-	parent := New(99)
-	a := parent.Fork(1)
-	b := parent.Fork(2)
-	same := 0
-	for i := 0; i < 100; i++ {
-		if a.Uint64() == b.Uint64() {
-			same++
-		}
-	}
-	if same > 0 {
-		t.Fatalf("forked streams correlated: %d identical draws", same)
 	}
 }

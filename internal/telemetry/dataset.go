@@ -81,24 +81,6 @@ func (d *Dataset) Select(names []string) (*Dataset, error) {
 	return out, nil
 }
 
-// FilterWorkloads returns the subset of instances whose workload is in
-// names. Rows are shared, not copied.
-func (d *Dataset) FilterWorkloads(names ...string) *Dataset {
-	want := make(map[string]bool, len(names))
-	for _, n := range names {
-		want[n] = true
-	}
-	out := NewDataset(d.FeatureNames)
-	for i := range d.X {
-		if want[d.Workloads[i]] {
-			out.X = append(out.X, d.X[i])
-			out.Y = append(out.Y, d.Y[i])
-			out.Workloads = append(out.Workloads, d.Workloads[i])
-		}
-	}
-	return out
-}
-
 // WorkloadNames returns the distinct workloads present, in first-seen order.
 func (d *Dataset) WorkloadNames() []string {
 	seen := map[string]bool{}

@@ -116,15 +116,11 @@ func TestDatasetAddAndSelect(t *testing.T) {
 	}
 }
 
-func TestDatasetFilterWorkloads(t *testing.T) {
+func TestDatasetWorkloadNames(t *testing.T) {
 	d := NewDataset([]string{"a"})
 	_ = d.Add([]float64{1}, 0.1, "w1")
 	_ = d.Add([]float64{2}, 0.2, "w2")
 	_ = d.Add([]float64{3}, 0.3, "w1")
-	f := d.FilterWorkloads("w1")
-	if f.Len() != 2 || f.Y[1] != 0.3 {
-		t.Fatalf("filter wrong: %+v", f)
-	}
 	if got := d.WorkloadNames(); !reflect.DeepEqual(got, []string{"w1", "w2"}) {
 		t.Fatalf("WorkloadNames = %v", got)
 	}
