@@ -45,8 +45,9 @@ race:
 # against the timestamp-LRU reference it replaced, of the exact GBT
 # trainer against the map-based trainer it replaced, of the
 # skewed-band steady-state solver against the row-major one it replaced,
-# and of a pipeline replaying its family's core rate traces against a
-# fresh pipeline stepping its core live.
+# of the core sampler and the thermal Euler substep against the versions
+# their fast paths replaced, and of a pipeline replaying its family's core
+# rate traces against a fresh pipeline stepping its core live.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzLoadModel -fuzztime=10s ./internal/ml/gbt
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeDecideRequest -fuzztime=10s ./internal/serve
@@ -55,6 +56,8 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzCacheMatchesStampLRU -fuzztime=10s ./internal/arch
 	$(GO) test -run='^$$' -fuzz=FuzzExactMatchesMapReference -fuzztime=10s ./internal/ml/gbt
 	$(GO) test -run='^$$' -fuzz=FuzzSteadyStateMatchesReference -fuzztime=10s ./internal/thermal
+	$(GO) test -run='^$$' -fuzz=FuzzCoreSampleMatchesReference -fuzztime=10s ./internal/arch
+	$(GO) test -run='^$$' -fuzz=FuzzStepMatchesReference -fuzztime=10s ./internal/thermal
 	$(GO) test -run='^$$' -fuzz=FuzzRateTraceReplay -fuzztime=10s ./internal/sim
 
 # One-iteration smoke of the trace-layer benchmark: reports the

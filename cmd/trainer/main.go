@@ -138,7 +138,7 @@ func main() {
 				gridParams = append(gridParams, p)
 			}
 		}
-		res, err := gbt.GridSearch(sel.X, sel.Y, sel.Workloads, sel.FeatureNames, gridParams)
+		res, err := gbt.GridSearch(ctx, sel.X, sel.Y, sel.Workloads, sel.FeatureNames, gridParams)
 		if err != nil {
 			fatal(err)
 		}

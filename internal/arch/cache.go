@@ -103,10 +103,7 @@ func (c *Cache) touch(addr uint64) bool {
 // write only affects the write-specific statistics.
 func (c *Cache) Access(addr uint64, write bool) bool {
 	if c.touch(addr) {
-		c.hits++
-		if write {
-			c.writeHits++
-		}
+		c.countHit(write)
 		return true
 	}
 	c.misses++
@@ -114,6 +111,15 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 		c.writeMiss++
 	}
 	return false
+}
+
+// countHit records a hit without a lookup, for an access the caller knows
+// hits the most recent line of its set, which such a hit leaves in place.
+func (c *Cache) countHit(write bool) {
+	c.hits++
+	if write {
+		c.writeHits++
+	}
 }
 
 // Install inserts the line containing addr without touching statistics;

@@ -134,6 +134,40 @@ func NewCore(cfg CoreConfig, seed uint64) (*Core, error) {
 // Config returns the core configuration.
 func (c *Core) Config() CoreConfig { return c.cfg }
 
+// probThreshold returns the bound t for which rnd.Uint64()>>11 < t holds
+// exactly when rnd.Float64() < p would, for the same draw u: Float64 is
+// (u>>11)/2^53, the integer k = u>>11 and the division are exact, so
+// Float64() < p means k < p·2^53, and for an integer k that is k <
+// ceil(p·2^53), also exact since p·2^53 only scales p's exponent. A p ≤ 0
+// (or NaN) never passes and a p ≥ 1 always does.
+func probThreshold(p float64) uint64 {
+	switch {
+	case !(p > 0):
+		return 0
+	case p >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
+}
+
+// prefetchStep is the data prefetcher's stride: after a demand miss it
+// installs the lines at addr+64 and addr+128.
+const prefetchStep = 64
+
+// repeatHits reports whether an access to the line of the previous access
+// is a hit in both cache l1 and TLB tlb without looking either up. The
+// previous access left its line most recent in its l1 set and its page
+// most recent in its TLB set, and an access whose set already starts
+// with its tag changes nothing, so skipping it only skips the lookups.
+// That holds when a line never spans pages (line size ≤ page size, both
+// powers of two) and when each line the prefetcher installs after a miss,
+// up to span bytes past it, is either the missing line itself or in
+// another set, which is so when those installs cover fewer lines than l1
+// has sets.
+func repeatHits(l1, tlb CacheConfig, span int) bool {
+	return l1.LineSize <= tlb.LineSize && (span+l1.LineSize-1)/l1.LineSize < l1.Sets
+}
+
 // sampleData runs the synthetic data stream through DTLB/L1D/L2 and
 // returns measured rates.
 func (c *Core) sampleData(p PhaseParams) (missL1D, missL2, missDTLB, writeFrac float64) {
@@ -146,18 +180,32 @@ func (c *Core) sampleData(p PhaseParams) (missL1D, missL2, missDTLB, writeFrac f
 	if p.FracLoad+p.FracStore > 0 {
 		storeShare = p.FracStore / (p.FracLoad + p.FracStore)
 	}
+	seqT, storeT := probThreshold(p.DataSeqFraction), probThreshold(storeShare)
+	repeat, shift := repeatHits(c.cfg.L1D, c.cfg.DTLB, 2*prefetchStep), c.l1d.setShift
+	prevLine := ^uint64(0) // no line: addresses stay far below 2^64
 	var l1Miss, l2Acc, l2Miss, tlbMiss, writes int
 	for i := 0; i < n; i++ {
-		if c.rnd.Float64() < p.DataSeqFraction {
+		if c.rnd.Uint64()>>11 < seqT {
 			// Word-granular streaming: each 64 B line is touched ~8 times.
-			c.dataCursor = (c.dataCursor + 8) % ws
+			if c.dataCursor += 8; c.dataCursor >= ws {
+				c.dataCursor %= ws
+			}
 		} else {
 			c.dataCursor = c.rnd.Uint64() % ws
 		}
 		addr := c.dataCursor
-		write := c.rnd.Float64() < storeShare
+		write := c.rnd.Uint64()>>11 < storeT
 		if write {
 			writes++
+		}
+		if repeat {
+			if line := addr >> shift; line != prevLine {
+				prevLine = line
+			} else {
+				c.dtlb.countHit(false)
+				c.l1d.countHit(write)
+				continue
+			}
 		}
 		if !c.dtlb.Access(addr, false) {
 			tlbMiss++
@@ -171,10 +219,10 @@ func (c *Core) sampleData(p PhaseParams) (missL1D, missL2, missDTLB, writeFrac f
 			// Degree-2 next-line prefetch: sequential streams mostly hit
 			// after the first miss, as on real cores with stride
 			// prefetchers.
-			c.l1d.Install(addr + 64)
-			c.l1d.Install(addr + 128)
-			c.l2.Install(addr + 64)
-			c.l2.Install(addr + 128)
+			c.l1d.Install(addr + prefetchStep)
+			c.l1d.Install(addr + 2*prefetchStep)
+			c.l2.Install(addr + prefetchStep)
+			c.l2.Install(addr + 2*prefetchStep)
 		}
 	}
 	missL1D = float64(l1Miss) / float64(n)
@@ -195,15 +243,27 @@ func (c *Core) sampleInstr(p PhaseParams) (missL1I, missITLB float64) {
 		ws = 64
 	}
 	const iBase = 1 << 40 // keep code and data in disjoint address regions
+	jumpT := probThreshold(p.FracBranch * 0.5)
+	repeat, shift := repeatHits(c.cfg.L1I, c.cfg.ITLB, 0), c.l1i.setShift
+	prevLine := ^uint64(0)
 	var l1Miss, tlbMiss int
 	for i := 0; i < n; i++ {
 		// Mostly sequential fetch with taken-branch redirects.
-		if c.rnd.Float64() < p.FracBranch*0.5 {
+		if c.rnd.Uint64()>>11 < jumpT {
 			c.instrCursor = c.rnd.Uint64() % ws
-		} else {
-			c.instrCursor = (c.instrCursor + 16) % ws
+		} else if c.instrCursor += 16; c.instrCursor >= ws {
+			c.instrCursor %= ws
 		}
 		addr := iBase + c.instrCursor
+		if repeat {
+			if line := addr >> shift; line != prevLine {
+				prevLine = line
+			} else {
+				c.itlb.countHit(false)
+				c.l1i.countHit(false)
+				continue
+			}
+		}
 		if !c.itlb.Access(addr, false) {
 			tlbMiss++
 		}
@@ -226,23 +286,30 @@ func (c *Core) sampleBranches(p PhaseParams) (mispred float64) {
 	if sites < 4 {
 		sites = 4
 	}
+	regularT := probThreshold(p.BranchRegularity)
+	// branchTick = round*sites + site, stepped without dividing.
+	round, site := c.branchTick/sites, c.branchTick%sites
 	var wrong int
 	for i := 0; i < n; i++ {
-		c.branchTick++
-		pc := (c.branchTick % sites) * 4
+		if site++; site == sites {
+			site = 0
+			round++
+		}
+		pc := site * 4
 		var taken bool
-		if c.rnd.Float64() < p.BranchRegularity {
+		if c.rnd.Uint64()>>11 < regularT {
 			// Learnable: outcome is a fixed function of site and a short
 			// period, which gshare's history can capture.
 			period := pc%5 + 2
-			taken = (c.branchTick/sites)%period != 0
+			taken = round%period != 0
 		} else {
-			taken = c.rnd.Bernoulli(0.5)
+			taken = c.rnd.Uint64()>>11 < 1<<52 // Bernoulli(0.5)
 		}
 		if !c.bp.Predict(pc, taken) {
 			wrong++
 		}
 	}
+	c.branchTick += uint64(n)
 	return float64(wrong) / float64(n)
 }
 

@@ -106,7 +106,7 @@ func TableIVFeatureImportance(l *Lab) (*TableIVResult, error) {
 	}
 	params := gbt.DefaultParams()
 	params.Workers = l.cfg.Workers
-	m20, err := gbt.Train(selTrain.X, selTrain.Y, selTrain.FeatureNames, params)
+	m20, err := gbt.TrainContext(l.ctx, selTrain.X, selTrain.Y, selTrain.FeatureNames, params)
 	if err != nil {
 		return nil, err
 	}
@@ -193,7 +193,7 @@ func Fig9MSEvsSize(l *Lab, grid []gbt.Params) (*Fig9Result, error) {
 	bestMSE := -1.0
 	for _, p := range grid {
 		p.Workers = l.cfg.Workers
-		cv, err := gbt.LeaveOneGroupOut(sel.X, sel.Y, sel.Workloads, sel.FeatureNames, p)
+		cv, err := gbt.LeaveOneGroupOut(l.ctx, sel.X, sel.Y, sel.Workloads, sel.FeatureNames, p)
 		if err != nil {
 			return nil, err
 		}

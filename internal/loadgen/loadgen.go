@@ -22,10 +22,12 @@
 package loadgen
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -244,6 +246,16 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if cfg.Duration > 0 {
 		deadline = start.Add(cfg.Duration)
 	}
+	// Each round hands the chips to the pool longest first, ranked by
+	// their time in the previous round (ties in chip order), so the round
+	// does not end on one worker stepping a slow chip while the others
+	// idle. Each chip owns its stream, so the order changes no output.
+	order := make([]int, cfg.Chips)
+	for i := range order {
+		order[i] = i
+	}
+	took := make([]time.Duration, cfg.Chips)
+	stepErr := make([]error, cfg.Chips)
 	requests := 0
 	for tick := 0; cfg.Ticks <= 0 || tick < cfg.Ticks; tick++ {
 		if err := ctx.Err(); err != nil {
@@ -254,18 +266,25 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		}
 
 		// 1. Advance every chip one decision interval in parallel; the
-		// boundary observation is this round's request payload.
-		err := runner.ForEach(ctx, cfg.Workers, cfg.Chips, func(ctx context.Context, i int) error {
-			o, err := chips[i].stream.Next(chips[i].freq)
-			if err != nil {
-				return fmt.Errorf("loadgen: %s tick %d: %w", chips[i].id, tick, err)
-			}
-			chips[i].obs = o
+		// boundary observation is this round's request payload. A failed
+		// chip does not stop the round, so the error reported is the
+		// lowest failing chip's whatever the order.
+		err := runner.ForEach(ctx, cfg.Workers, cfg.Chips, func(ctx context.Context, k int) error {
+			i := order[k]
+			t0 := time.Now()
+			chips[i].obs, stepErr[i] = chips[i].stream.Next(chips[i].freq)
+			took[i] = time.Since(t0)
 			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
+		for i, err := range stepErr {
+			if err != nil {
+				return nil, fmt.Errorf("loadgen: %s tick %d: %w", chips[i].id, tick, err)
+			}
+		}
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(took[b], took[a]) })
 
 		// 2. Dispatch the round's requests: chips in order, sliced into
 		// batches, at most MaxInflight in flight, starts paced to

@@ -1,6 +1,7 @@
 package gbt
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -18,8 +19,10 @@ type CVResult struct {
 
 // LeaveOneGroupOut trains one model per distinct group with that group's
 // instances held out, evaluates on the held-out group, and aggregates.
-// groups labels each row (the source application).
-func LeaveOneGroupOut(x [][]float64, y []float64, groups []string, featureNames []string, p Params) (CVResult, error) {
+// groups labels each row (the source application). Each fold trains with
+// TrainContext on ctx, so cancelling ctx stops the sweep within one
+// boosting round, with an error wrapping the cancellation.
+func LeaveOneGroupOut(ctx context.Context, x [][]float64, y []float64, groups []string, featureNames []string, p Params) (CVResult, error) {
 	if len(x) != len(y) || len(x) != len(groups) {
 		return CVResult{}, fmt.Errorf("gbt: cv inputs of different lengths")
 	}
@@ -51,7 +54,7 @@ func LeaveOneGroupOut(x [][]float64, y []float64, groups []string, featureNames 
 				ty = append(ty, y[i])
 			}
 		}
-		m, err := Train(tx, ty, featureNames, p)
+		m, err := TrainContext(ctx, tx, ty, featureNames, p)
 		if err != nil {
 			return CVResult{}, fmt.Errorf("gbt: cv fold %q: %w", hold, err)
 		}
@@ -75,14 +78,15 @@ func LeaveOneGroupOut(x [][]float64, y []float64, groups []string, featureNames 
 // GridSearch runs LeaveOneGroupOut for every parameter set and returns
 // the results sorted by mean MSE (best first). Ties break toward the
 // smaller model (fewer nodes), matching the paper's preference for the
-// smallest accurate model.
-func GridSearch(x [][]float64, y []float64, groups []string, featureNames []string, grid []Params) ([]CVResult, error) {
+// smallest accurate model. Cancelling ctx stops it as it stops
+// LeaveOneGroupOut.
+func GridSearch(ctx context.Context, x [][]float64, y []float64, groups []string, featureNames []string, grid []Params) ([]CVResult, error) {
 	if len(grid) == 0 {
 		return nil, fmt.Errorf("gbt: empty parameter grid")
 	}
 	out := make([]CVResult, 0, len(grid))
 	for _, p := range grid {
-		r, err := LeaveOneGroupOut(x, y, groups, featureNames, p)
+		r, err := LeaveOneGroupOut(ctx, x, y, groups, featureNames, p)
 		if err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package gbt
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"strings"
@@ -134,7 +135,7 @@ func TestCVResultStdNonNegativeAndFinite(t *testing.T) {
 		groups[i] = []string{"a", "b", "c", "d"}[i%4]
 	}
 	p := Params{NumTrees: 8, MaxDepth: 2, LearningRate: 0.3, Lambda: 1, MinChildWeight: 1}
-	res, err := LeaveOneGroupOut(x, y, groups, names3, p)
+	res, err := LeaveOneGroupOut(context.Background(), x, y, groups, names3, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -273,7 +273,7 @@ func TestLeaveOneGroupOut(t *testing.T) {
 		groups[i] = []string{"app1", "app2", "app3"}[i%3]
 	}
 	p := Params{NumTrees: 15, MaxDepth: 2, LearningRate: 0.3, Lambda: 1, MinChildWeight: 1}
-	res, err := LeaveOneGroupOut(x, y, groups, names3, p)
+	res, err := LeaveOneGroupOut(context.Background(), x, y, groups, names3, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,10 +294,10 @@ func TestLeaveOneGroupOutErrors(t *testing.T) {
 	for i := range groups {
 		groups[i] = "only"
 	}
-	if _, err := LeaveOneGroupOut(x, y, groups, names3, DefaultParams()); err == nil {
+	if _, err := LeaveOneGroupOut(context.Background(), x, y, groups, names3, DefaultParams()); err == nil {
 		t.Fatal("expected single-group error")
 	}
-	if _, err := LeaveOneGroupOut(x, y[:3], groups, names3, DefaultParams()); err == nil {
+	if _, err := LeaveOneGroupOut(context.Background(), x, y[:3], groups, names3, DefaultParams()); err == nil {
 		t.Fatal("expected length error")
 	}
 }
@@ -312,7 +312,7 @@ func TestGridSearchOrdersByMSE(t *testing.T) {
 		{NumTrees: 1, MaxDepth: 1, LearningRate: 0.3, Lambda: 1, MinChildWeight: 1},
 		{NumTrees: 30, MaxDepth: 3, LearningRate: 0.3, Lambda: 1, MinChildWeight: 1},
 	}
-	res, err := GridSearch(x, y, groups, names3, grid)
+	res, err := GridSearch(context.Background(), x, y, groups, names3, grid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestGridSearchOrdersByMSE(t *testing.T) {
 	if res[0].Params.NumTrees != 30 {
 		t.Fatal("the larger model should win on this problem")
 	}
-	if _, err := GridSearch(x, y, groups, names3, nil); err == nil {
+	if _, err := GridSearch(context.Background(), x, y, groups, names3, nil); err == nil {
 		t.Fatal("expected empty-grid error")
 	}
 }

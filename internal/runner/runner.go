@@ -22,13 +22,11 @@ package runner
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // DefaultWorkers returns the default parallelism: one worker per logical
@@ -64,29 +62,7 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("runner: task %d panicked: %v\n%s", e.Index, e.Value, e.Stack)
 }
 
-// Options tunes per-task failure handling for ForEachOpts / MapOpts.
-// The zero value (one attempt, no backoff) matches ForEach / Map.
-type Options struct {
-	// Attempts is how many times a failing task is tried before its
-	// error is reported; values below 1 mean 1 (no retry). Panics and
-	// context cancellation are never retried: a panic is a bug, not a
-	// transient failure.
-	Attempts int
-	// Backoff is the delay before the first retry; it doubles on each
-	// subsequent retry of the same task. The schedule is a fixed
-	// function of the attempt number — no jitter — so retries never
-	// introduce nondeterminism into results.
-	Backoff time.Duration
-}
-
-func (o Options) normalized() Options {
-	if o.Attempts < 1 {
-		o.Attempts = 1
-	}
-	return o
-}
-
-// runTask executes one task attempt, converting a panic into *PanicError.
+// runTask executes one task, converting a panic into *PanicError.
 func runTask(ctx context.Context, i int, task func(ctx context.Context, i int) error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -94,29 +70,6 @@ func runTask(ctx context.Context, i int, task func(ctx context.Context, i int) e
 		}
 	}()
 	return task(ctx, i)
-}
-
-// attemptTask runs one task under the retry policy.
-func attemptTask(ctx context.Context, i int, opts Options, task func(ctx context.Context, i int) error) error {
-	for attempt := 1; ; attempt++ {
-		err := runTask(ctx, i, task)
-		if err == nil || attempt >= opts.Attempts {
-			return err
-		}
-		var pe *PanicError
-		if errors.As(err, &pe) || ctx.Err() != nil {
-			return err
-		}
-		if opts.Backoff > 0 {
-			timer := time.NewTimer(opts.Backoff << (attempt - 1))
-			select {
-			case <-ctx.Done():
-				timer.Stop()
-				return err
-			case <-timer.C:
-			}
-		}
-	}
 }
 
 // indexedError remembers the lowest task index that failed, so the
@@ -152,17 +105,9 @@ func (e *indexedError) get() error {
 // run on a single goroutine in index order, which is the sequential
 // reference the parallel modes are measured against.
 func ForEach(ctx context.Context, workers, n int, task func(ctx context.Context, i int) error) error {
-	return ForEachOpts(ctx, workers, n, Options{}, task)
-}
-
-// ForEachOpts is ForEach with a per-task retry policy: a failing task is
-// re-run up to opts.Attempts times (with deterministic exponential
-// backoff starting at opts.Backoff) before its error fails the pool.
-func ForEachOpts(ctx context.Context, workers, n int, opts Options, task func(ctx context.Context, i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	opts = opts.normalized()
 	workers = Normalize(workers)
 	if workers > n {
 		workers = n
@@ -187,7 +132,7 @@ func ForEachOpts(ctx context.Context, workers, n int, opts Options, task func(ct
 				if i >= n {
 					return
 				}
-				if err := attemptTask(ctx, i, opts, task); err != nil {
+				if err := runTask(ctx, i, task); err != nil {
 					first.record(i, err)
 					cancel()
 					return
@@ -211,13 +156,8 @@ func ForEachOpts(ctx context.Context, workers, n int, opts Options, task func(ct
 // goroutines and returns the results in task-index order. Error semantics
 // match ForEach; on error the partial results are discarded.
 func Map[T any](ctx context.Context, workers, n int, task func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	return MapOpts(ctx, workers, n, Options{}, task)
-}
-
-// MapOpts is Map with the retry policy of ForEachOpts.
-func MapOpts[T any](ctx context.Context, workers, n int, opts Options, task func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
-	err := ForEachOpts(ctx, workers, n, opts, func(ctx context.Context, i int) error {
+	err := ForEach(ctx, workers, n, func(ctx context.Context, i int) error {
 		v, err := task(ctx, i)
 		if err != nil {
 			return err

@@ -230,76 +230,3 @@ func TestMapPanicDiscardsResults(t *testing.T) {
 		t.Fatalf("got (%v, %v), want discarded results and an error", out, err)
 	}
 }
-
-func TestForEachOptsRetriesTransientFailures(t *testing.T) {
-	attempts := make([]atomic.Int64, 6)
-	opts := Options{Attempts: 3, Backoff: time.Microsecond}
-	err := ForEachOpts(context.Background(), 4, len(attempts), opts, func(_ context.Context, i int) error {
-		if attempts[i].Add(1) < 3 && i%2 == 0 {
-			return fmt.Errorf("transient %d", i)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range attempts {
-		want := int64(1)
-		if i%2 == 0 {
-			want = 3
-		}
-		if got := attempts[i].Load(); got != want {
-			t.Fatalf("task %d ran %d times, want %d", i, got, want)
-		}
-	}
-}
-
-func TestForEachOptsExhaustsAttempts(t *testing.T) {
-	var attempts atomic.Int64
-	opts := Options{Attempts: 4}
-	err := ForEachOpts(context.Background(), 1, 1, opts, func(_ context.Context, i int) error {
-		attempts.Add(1)
-		return errors.New("always broken")
-	})
-	if err == nil || err.Error() != "always broken" {
-		t.Fatalf("got %v", err)
-	}
-	if got := attempts.Load(); got != 4 {
-		t.Fatalf("ran %d attempts, want 4", got)
-	}
-}
-
-func TestForEachOptsNeverRetriesPanics(t *testing.T) {
-	var attempts atomic.Int64
-	opts := Options{Attempts: 5}
-	err := ForEachOpts(context.Background(), 1, 1, opts, func(_ context.Context, i int) error {
-		attempts.Add(1)
-		panic("bug, not a transient")
-	})
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("got %v", err)
-	}
-	if got := attempts.Load(); got != 1 {
-		t.Fatalf("panicking task retried %d times", got)
-	}
-}
-
-func TestMapOptsOrderedResultsWithRetries(t *testing.T) {
-	attempts := make([]atomic.Int64, 12)
-	opts := Options{Attempts: 2}
-	out, err := MapOpts(context.Background(), 8, len(attempts), opts, func(_ context.Context, i int) (int, error) {
-		if attempts[i].Add(1) == 1 {
-			return 0, fmt.Errorf("first attempt %d fails", i)
-		}
-		return i * i, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("out[%d] = %d", i, v)
-		}
-	}
-}

@@ -170,9 +170,10 @@ func (s *scanner) observation(o *Observation) bool {
 // counters scans the counter object into c. json.Marshal writes the
 // fields in declaration order, so each key is first compared with the
 // one after the previous key's field; any other key goes through
-// counterField.
+// counterField. Each value is stored through c.Values(), whose index is
+// the field index counterField holds, so no store goes through reflect.
 func (s *scanner) counters(c *arch.Counters) bool {
-	v := reflect.ValueOf(c).Elem()
+	v := c.Values()
 	var seen uint64
 	next := 0
 	return s.object(func() bool {
@@ -183,7 +184,7 @@ func (s *scanner) counters(c *arch.Counters) bool {
 		seen |= 1 << i
 		f, ok := s.number()
 		if ok {
-			v.Field(i).SetFloat(f)
+			v[i] = f
 		}
 		next = i + 1
 		return ok

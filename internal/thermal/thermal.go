@@ -292,59 +292,104 @@ func (m *Model) MaxDieTemp() float64 {
 }
 
 // step advances the network by one raw Euler substep. power is W per die
-// cell, len NX*NY.
+// cell, len NX*NY. Boundary cells, which lack some of the four lateral
+// neighbours, go through stepEdge; interior cells sum the same terms in
+// the same order without testing for them. Cells are visited in row-major
+// order either way, so sinkFlow adds up in that order too.
 func (m *Model) step(power []float64, dt float64) {
 	nx, ny := m.nx, m.ny
 	die, spr := m.die, m.spr
 	dieN, sprN := m.dieNext, m.sprNext
+	gxDie, gyDie, gxSpr, gySpr := m.gxDie, m.gyDie, m.gxSpr, m.gySpr
+	gTIM, gSink, cDie, cSpr, sink := m.gTIM, m.gSink, m.cDie, m.cSpr, m.sink
 
 	sinkFlow := 0.0
 	for y := 0; y < ny; y++ {
 		row := y * nx
-		for x := 0; x < nx; x++ {
-			i := row + x
+		if y == 0 || y == ny-1 {
+			for x := 0; x < nx; x++ {
+				sinkFlow += m.stepEdge(power, dt, x, y)
+			}
+			continue
+		}
+		sinkFlow += m.stepEdge(power, dt, 0, y)
+		for i := row + 1; i < row+nx-1; i++ {
 			t := die[i]
-			var q float64
-			if x > 0 {
-				q += m.gxDie * (die[i-1] - t)
-			}
-			if x < nx-1 {
-				q += m.gxDie * (die[i+1] - t)
-			}
-			if y > 0 {
-				q += m.gyDie * (die[i-nx] - t)
-			}
-			if y < ny-1 {
-				q += m.gyDie * (die[i+nx] - t)
-			}
-			q += m.gTIM * (spr[i] - t)
+			// q starts at +0.0 as in stepEdge, so each cell makes the
+			// same additions.
+			q := 0.0
+			q += gxDie * (die[i-1] - t)
+			q += gxDie * (die[i+1] - t)
+			q += gyDie * (die[i-nx] - t)
+			q += gyDie * (die[i+nx] - t)
+			q += gTIM * (spr[i] - t)
 			q += power[i]
-			dieN[i] = t + dt*q/m.cDie
+			dieN[i] = t + dt*q/cDie
 
 			ts := spr[i]
-			var qs float64
-			if x > 0 {
-				qs += m.gxSpr * (spr[i-1] - ts)
-			}
-			if x < nx-1 {
-				qs += m.gxSpr * (spr[i+1] - ts)
-			}
-			if y > 0 {
-				qs += m.gySpr * (spr[i-nx] - ts)
-			}
-			if y < ny-1 {
-				qs += m.gySpr * (spr[i+nx] - ts)
-			}
-			qs += m.gTIM * (t - ts)
-			toSink := m.gSink * (ts - m.sink)
+			qs := 0.0
+			qs += gxSpr * (spr[i-1] - ts)
+			qs += gxSpr * (spr[i+1] - ts)
+			qs += gySpr * (spr[i-nx] - ts)
+			qs += gySpr * (spr[i+nx] - ts)
+			qs += gTIM * (t - ts)
+			toSink := gSink * (ts - sink)
 			qs -= toSink
 			sinkFlow += toSink
-			sprN[i] = ts + dt*qs/m.cSpr
+			sprN[i] = ts + dt*qs/cSpr
+		}
+		if nx > 1 {
+			sinkFlow += m.stepEdge(power, dt, nx-1, y)
 		}
 	}
 	m.sink += dt * (sinkFlow - m.gAmb*(m.sink-m.cfg.Ambient)) / m.cSink
 	m.die, m.dieNext = dieN, die
 	m.spr, m.sprNext = sprN, spr
+}
+
+// stepEdge is step's update of cell (x, y) with every lateral neighbour
+// tested for; it returns the cell's flow into the sink.
+func (m *Model) stepEdge(power []float64, dt float64, x, y int) (toSink float64) {
+	nx, ny := m.nx, m.ny
+	die, spr := m.die, m.spr
+	i := y*nx + x
+	t := die[i]
+	var q float64
+	if x > 0 {
+		q += m.gxDie * (die[i-1] - t)
+	}
+	if x < nx-1 {
+		q += m.gxDie * (die[i+1] - t)
+	}
+	if y > 0 {
+		q += m.gyDie * (die[i-nx] - t)
+	}
+	if y < ny-1 {
+		q += m.gyDie * (die[i+nx] - t)
+	}
+	q += m.gTIM * (spr[i] - t)
+	q += power[i]
+	m.dieNext[i] = t + dt*q/m.cDie
+
+	ts := spr[i]
+	var qs float64
+	if x > 0 {
+		qs += m.gxSpr * (spr[i-1] - ts)
+	}
+	if x < nx-1 {
+		qs += m.gxSpr * (spr[i+1] - ts)
+	}
+	if y > 0 {
+		qs += m.gySpr * (spr[i-nx] - ts)
+	}
+	if y < ny-1 {
+		qs += m.gySpr * (spr[i+nx] - ts)
+	}
+	qs += m.gTIM * (t - ts)
+	toSink = m.gSink * (ts - m.sink)
+	qs -= toSink
+	m.sprNext[i] = ts + dt*qs/m.cSpr
+	return toSink
 }
 
 // StepFor advances the model by duration seconds while the die dissipates
