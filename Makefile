@@ -3,9 +3,11 @@
 # `make ci` is the expanded tier-1 gate: formatting, build, vet, tests,
 # the race detector over every package (the execution engine makes the
 # campaign layers concurrent, so the race detector is part of the gate),
-# a short fuzz smoke over the model deserializer (the one parser that
-# eats externally supplied bytes), an end-to-end smoke that builds
-# every example and pushes a platform scenario file through each CLI,
+# ten 10-second fuzz smokes (the two parsers that eat externally
+# supplied bytes, and differential fuzzes of each fast path against the
+# code it replaced), one-iteration benchmark smokes, an end-to-end
+# smoke that builds every example and pushes a platform scenario file
+# through each CLI, the crash-safety, serving and load-replay smokes,
 # and the paper-scale Fig 7 headline diffed against full_campaign.txt.
 
 GO ?= go
@@ -60,9 +62,10 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzStepMatchesReference -fuzztime=10s ./internal/thermal
 	$(GO) test -run='^$$' -fuzz=FuzzRateTraceReplay -fuzztime=10s ./internal/sim
 
-# One-iteration smoke of the trace-layer benchmark: reports the
-# streaming path's allocs/op without paying full bench time (the flat
-# per-run allocation count is asserted by TestRunStaticAllocsFlat).
+# One-iteration smoke of the streamed static-run benchmark: reports the
+# drive loop's allocs/op without paying full bench time (the flat
+# per-run allocation count is asserted by TestRunStaticAllocsFlat in
+# internal/sim).
 bench-trace-smoke:
 	$(GO) test -run='^$$' -bench=BenchmarkRunStaticTrace -benchtime=1x -benchmem .
 

@@ -19,7 +19,6 @@ import (
 	"github.com/hotgauge/boreas/internal/rng"
 	"github.com/hotgauge/boreas/internal/sim"
 	"github.com/hotgauge/boreas/internal/telemetry"
-	"github.com/hotgauge/boreas/internal/trace"
 )
 
 var (
@@ -57,13 +56,12 @@ func engineBenchObservations(tb testing.TB) []control.Observation {
 					return
 				}
 				run := w.NewRun(p.Config().Seed)
-				engineObsErr = trace.Drive(p, run, func(int) float64 { return freq }, traceBenchSteps,
-					trace.ObserverFunc(func(step int, r *sim.StepResult) {
-						engineObs = append(engineObs, control.Observation{
-							Counters:   r.Counters,
-							SensorTemp: r.SensorDelayed[sim.DefaultSensorIndex],
-						})
-					}))
+				engineObsErr = p.Drive(run, func(int) float64 { return freq }, traceBenchSteps, func(step int, r *sim.StepResult) {
+					engineObs = append(engineObs, control.Observation{
+						Counters:   r.Counters,
+						SensorTemp: r.SensorDelayed[sim.DefaultSensorIndex],
+					})
+				})
 				if engineObsErr != nil {
 					return
 				}

@@ -29,7 +29,6 @@ import (
 	"github.com/hotgauge/boreas/internal/sim"
 	"github.com/hotgauge/boreas/internal/telemetry"
 	"github.com/hotgauge/boreas/internal/thermal"
-	"github.com/hotgauge/boreas/internal/trace"
 	"github.com/hotgauge/boreas/internal/workload"
 )
 
@@ -255,7 +254,7 @@ func BenchmarkAblation_TimestepWidth(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := trace.RunStatic(p, "gromacs", 4.25, 48); err != nil {
+				if err := p.RunStatic("gromacs", 4.25, 48, func(int, *sim.StepResult) {}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -286,13 +285,14 @@ func BenchmarkAblation_SeverityParams(b *testing.B) {
 			cfg := sim.DefaultConfig()
 			cfg.Thermal.NX, cfg.Thermal.NY = 24, 18
 			cfg.Severity = params
-			var pr trace.PeakReducer
+			var pr sim.PeakReducer
 			for i := 0; i < b.N; i++ {
 				p, err := sim.New(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := trace.RunStatic(p, "gromacs", 4.5, 48, &pr); err != nil {
+				pr = sim.PeakReducer{}
+				if err := p.RunStatic("gromacs", 4.5, 48, pr.Observe); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -310,13 +310,14 @@ func BenchmarkAblation_GridResolution(b *testing.B) {
 		b.Run(res.name, func(b *testing.B) {
 			cfg := sim.DefaultConfig()
 			cfg.Thermal.NX, cfg.Thermal.NY = res.nx, res.ny
-			var pr trace.PeakReducer
+			var pr sim.PeakReducer
 			for i := 0; i < b.N; i++ {
 				p, err := sim.New(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := trace.RunStatic(p, "calculix", 4.25, 48, &pr); err != nil {
+				pr = sim.PeakReducer{}
+				if err := p.RunStatic("calculix", 4.25, 48, pr.Observe); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -579,7 +580,7 @@ const (
 	traceBenchSteps    = 96
 )
 
-// BenchmarkRunStaticTrace times a streamed static run: trace.RunStatic
+// BenchmarkRunStaticTrace times a streamed static run: Pipeline.RunStatic
 // feeding a PeakReducer (O(1) memory). The pipeline is reused, so every
 // iteration after the first restores its warm start from the pipeline's
 // memo instead of solving it: the numbers time the measured steps plus a
@@ -591,11 +592,11 @@ func BenchmarkRunStaticTrace(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		var pr trace.PeakReducer
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := trace.RunStatic(p, traceBenchWorkload, traceBenchFreq, traceBenchSteps, &pr); err != nil {
+			var pr sim.PeakReducer
+			if err := p.RunStatic(traceBenchWorkload, traceBenchFreq, traceBenchSteps, pr.Observe); err != nil {
 				b.Fatal(err)
 			}
 			benchTraceSink = pr.PeakSeverity

@@ -50,7 +50,6 @@ import (
 	"github.com/hotgauge/boreas/internal/power"
 	"github.com/hotgauge/boreas/internal/sim"
 	"github.com/hotgauge/boreas/internal/telemetry"
-	"github.com/hotgauge/boreas/internal/trace"
 	"github.com/hotgauge/boreas/internal/workload"
 )
 
@@ -88,26 +87,15 @@ func DefaultSeverityParams() SeverityParams { return hotspot.DefaultSeverityPara
 // DefaultSensorIndex is the paper's preferred sensor (tsens03, EX stage).
 const DefaultSensorIndex = sim.DefaultSensorIndex
 
-// Streaming telemetry. Every static run is observed as a step stream: a
-// reduction (a peak, a dataset row, a CSV line) folds it in place, and a
-// TraceRecorder keeps the whole run as a columnar trace when one is
-// wanted.
-type (
-	// TraceObserver consumes a stream of pipeline timesteps. The
-	// StepResult handed to Observe is scratch: copy what you retain.
-	TraceObserver = trace.Observer
-	// TraceObserverFunc adapts a per-step function to TraceObserver.
-	TraceObserverFunc = trace.ObserverFunc
-	// TraceRecorder is an observer that fills a columnar trace.
-	TraceRecorder = trace.Recorder
-	// PeakReducer folds a run to its peaks and energy in O(1) memory.
-	PeakReducer = trace.PeakReducer
-)
+// PeakReducer folds a run to its peak severity, peak MLTD and incursion
+// count in O(1) memory: pass its Observe method to RunStaticObserved.
+type PeakReducer = sim.PeakReducer
 
 // RunStaticObserved warm-starts the pipeline and streams a fixed-
-// frequency run of the named workload to the observers.
-func RunStaticObserved(p *Pipeline, name string, fGHz float64, steps int, obs ...TraceObserver) error {
-	return trace.RunStatic(p, name, fGHz, steps, obs...)
+// frequency run of the named workload to observe, one call per step. The
+// StepResult handed to observe is scratch: copy what you retain.
+func RunStaticObserved(p *Pipeline, name string, fGHz float64, steps int, observe func(step int, r *StepResult)) error {
+	return p.RunStatic(name, fGHz, steps, observe)
 }
 
 // Workload is a synthetic SPEC CPU2006 behavioural model.

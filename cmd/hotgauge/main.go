@@ -32,7 +32,6 @@ import (
 	"github.com/hotgauge/boreas/internal/runner"
 	"github.com/hotgauge/boreas/internal/sim"
 	"github.com/hotgauge/boreas/internal/telemetry"
-	"github.com/hotgauge/boreas/internal/trace"
 )
 
 func main() {
@@ -176,13 +175,12 @@ func dumpTrace(w io.Writer, pf *platform.Platform, name string, freq float64, st
 	fmt.Fprintln(w, "time_ms,freq_ghz,voltage,power_w,max_temp,max_mltd,severity,sensor,ipc")
 	// Stream each row straight from the drive loop: nothing is buffered,
 	// so the dump works at any trace length in constant memory.
-	return trace.RunStatic(p, name, pf.VF.ClampFrequency(freq), steps,
-		trace.ObserverFunc(func(step int, r *sim.StepResult) {
-			fmt.Fprintf(w, "%.3f,%.2f,%.3f,%.2f,%.2f,%.2f,%.4f,%.2f,%.3f\n",
-				r.Time*1e3, r.FrequencyGHz, r.Voltage, r.TotalPower,
-				r.Severity.MaxTemp, r.Severity.MaxMLTD, r.Severity.Max,
-				r.SensorDelayed[pf.SensorIndex], r.Counters.IPC())
-		}))
+	return p.RunStatic(name, pf.VF.ClampFrequency(freq), steps, func(step int, r *sim.StepResult) {
+		fmt.Fprintf(w, "%.3f,%.2f,%.3f,%.2f,%.2f,%.2f,%.4f,%.2f,%.3f\n",
+			r.Time*1e3, r.FrequencyGHz, r.Voltage, r.TotalPower,
+			r.Severity.MaxTemp, r.Severity.MaxMLTD, r.Severity.Max,
+			r.SensorDelayed[pf.SensorIndex], r.Counters.IPC())
+	})
 }
 
 // checkpointDir names the active -checkpoint directory for the

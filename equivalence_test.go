@@ -1,5 +1,5 @@
-// Golden equivalence tests for the streaming trace/observer layer: the
-// streamed paths (trace.Drive / PeakReducer / DatasetAppender) must
+// Golden equivalence tests for the streaming drive loop: the streamed
+// paths (sim.Pipeline.Drive / PeakReducer / DatasetAppender) must
 // reproduce the seed's materialized []sim.StepResult paths bit for bit,
 // at -j1 and -j8. The materialized references are computed here exactly
 // as the pre-streaming code did: a full trace of freshly allocated

@@ -51,13 +51,19 @@ func ExampleNewPipeline() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var rec boreas.TraceRecorder
-	if err := boreas.RunStaticObserved(pipe, "calculix", 4.0, 12, &rec); err != nil {
+	var (
+		timeMs   float64
+		sensors  int
+		severity float64
+	)
+	err = boreas.RunStaticObserved(pipe, "calculix", 4.0, 12, func(_ int, r *boreas.StepResult) {
+		timeMs, sensors, severity = r.Time*1e3, len(r.SensorDelayed), r.Severity.Max
+	})
+	if err != nil {
 		log.Fatal(err)
 	}
-	last := rec.T.At(rec.T.Len() - 1)
 	fmt.Printf("t=%.2f ms, %d sensors, severity in [0,2]: %t\n",
-		last.Time*1e3, len(last.SensorDelayed), last.Severity.Max >= 0 && last.Severity.Max <= 2)
+		timeMs, sensors, severity >= 0 && severity <= 2)
 	// Output:
 	// t=0.96 ms, 7 sensors, severity in [0,2]: true
 }

@@ -3,10 +3,9 @@
 // read-out delay determines how late it sees it. Runs one hot workload
 // with all seven sensors and sweeps the delay.
 //
-// Part 1 records the run into a columnar Trace via the streaming
-// trace/observer layer; part 2 shows the other end of that spectrum: a
-// pure per-step observer that folds each delay sweep down to one scalar
-// without materializing anything.
+// Both parts stream the run through one per-step function and keep only
+// what they report: part 1 the final sensor readings and a count, part 2
+// one scalar per delay sweep. Nothing is materialized.
 package main
 
 import (
@@ -30,23 +29,24 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var rec boreas.TraceRecorder
 	hotCool := 0
-	err = boreas.RunStaticObserved(pipe, name, freq, steps, &rec,
-		boreas.TraceObserverFunc(func(step int, r *boreas.StepResult) {
-			if r.Severity.Max >= 1 && r.SensorDelayed[boreas.DefaultSensorIndex] < 100 {
-				hotCool++
-			}
-		}))
+	var finalTemp, finalSeverity float64
+	finalDelayed := make([]float64, pipe.NumSensors())
+	err = boreas.RunStaticObserved(pipe, name, freq, steps, func(step int, r *boreas.StepResult) {
+		if r.Severity.Max >= 1 && r.SensorDelayed[boreas.DefaultSensorIndex] < 100 {
+			hotCool++
+		}
+		if step == steps-1 {
+			finalTemp, finalSeverity = r.Severity.MaxTemp, r.Severity.Max
+			copy(finalDelayed, r.SensorDelayed)
+		}
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	t := &rec.T
-	last := t.Len() - 1
 	fmt.Printf("%s at %.2f GHz for 12 ms: final die peak %.1f C, severity %.3f\n\n",
-		name, freq, t.Severities[last].MaxTemp, t.Severities[last].Max)
+		name, freq, finalTemp, finalSeverity)
 	fmt.Println("sensor readings at the end of the run (960 us read-out delay):")
-	finalDelayed := t.SensorDelayedAt(last)
 	for i, s := range pipe.Sensors().Sensors() {
 		note := ""
 		switch i {
@@ -73,13 +73,12 @@ func main() {
 			log.Fatal(err)
 		}
 		worst := 0.0
-		err = boreas.RunStaticObserved(dp, name, freq, steps,
-			boreas.TraceObserverFunc(func(step int, r *boreas.StepResult) {
-				lag := r.SensorCurrent[boreas.DefaultSensorIndex] - r.SensorDelayed[boreas.DefaultSensorIndex]
-				if lag > worst {
-					worst = lag
-				}
-			}))
+		err = boreas.RunStaticObserved(dp, name, freq, steps, func(step int, r *boreas.StepResult) {
+			lag := r.SensorCurrent[boreas.DefaultSensorIndex] - r.SensorDelayed[boreas.DefaultSensorIndex]
+			if lag > worst {
+				worst = lag
+			}
+		})
 		if err != nil {
 			log.Fatal(err)
 		}

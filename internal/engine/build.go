@@ -8,7 +8,6 @@ import (
 	"github.com/hotgauge/boreas/internal/control"
 	"github.com/hotgauge/boreas/internal/runner"
 	"github.com/hotgauge/boreas/internal/sim"
-	"github.com/hotgauge/boreas/internal/trace"
 )
 
 // StaticSweep is a (workload, frequency) grid of fixed-frequency runs,
@@ -35,8 +34,8 @@ type StaticSweep struct {
 // on sensor sensorIndex. The runs fan across workers pipeline clones of p
 // (0 or negative: one worker per CPU); every run fully resets its clone
 // and lands at its own coordinates, so the sweep is identical at any
-// worker count. Each run streams through O(1)-memory reducers, whatever
-// the trace length.
+// worker count. Each run folds its steps in one O(1)-memory pass,
+// whatever the trace length.
 func SweepStatic(ctx context.Context, p *sim.Pipeline, workloads []string, freqs []float64, steps, sensorIndex, workers int) (*StaticSweep, error) {
 	if len(workloads) == 0 || len(freqs) == 0 {
 		return nil, fmt.Errorf("engine: empty workload or frequency list")
@@ -50,14 +49,14 @@ func SweepStatic(ctx context.Context, p *sim.Pipeline, workloads []string, freqs
 		if err != nil {
 			return run{}, err
 		}
-		var pr trace.PeakReducer
+		var pr sim.PeakReducer
 		crit := math.Inf(1)
-		err = trace.RunStatic(pc, workloads[i/len(freqs)], freqs[i%len(freqs)], steps, &pr,
-			trace.ObserverFunc(func(_ int, r *sim.StepResult) {
-				if t := r.SensorDelayed[sensorIndex]; r.Severity.Max >= 1.0 && t < crit {
-					crit = t
-				}
-			}))
+		err = pc.RunStatic(workloads[i/len(freqs)], freqs[i%len(freqs)], steps, func(step int, r *sim.StepResult) {
+			pr.Observe(step, r)
+			if t := r.SensorDelayed[sensorIndex]; r.Severity.Max >= 1.0 && t < crit {
+				crit = t
+			}
+		})
 		return run{pr.PeakSeverity, crit}, err
 	})
 	if err != nil {

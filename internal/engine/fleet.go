@@ -22,12 +22,8 @@ type FleetConfig struct {
 	// Controller is the template controller: each chip runs on
 	// control.CloneController(Controller), so stateful controllers get
 	// private state while trained artifacts (models, tables) are shared
-	// across the whole fleet. Ignored when ControllerFor is set.
+	// across the whole fleet. Required.
 	Controller control.Controller
-	// ControllerFor, when non-nil, builds the controller for each chip
-	// (heterogeneous fleets). The returned controller is used as-is —
-	// the factory owns cloning if it hands out shared state.
-	ControllerFor func(chip int) (control.Controller, error)
 	// Loop configures each chip's closed-loop run; unset fields default
 	// per LoopConfig.Defaulted. Every chip shares it, so it must carry no
 	// SensorTap or CounterTap: RunFleet rejects one.
@@ -88,8 +84,8 @@ func RunFleet(ctx context.Context, p *sim.Pipeline, cfg FleetConfig) (*FleetResu
 	if cfg.Chips <= 0 {
 		return nil, fmt.Errorf("engine: fleet needs a positive chip count, got %d", cfg.Chips)
 	}
-	if cfg.Controller == nil && cfg.ControllerFor == nil {
-		return nil, fmt.Errorf("engine: fleet needs a Controller or a ControllerFor factory")
+	if cfg.Controller == nil {
+		return nil, fmt.Errorf("engine: fleet needs a Controller")
 	}
 	if err := rejectTaps(cfg.Loop, "a fleet"); err != nil {
 		return nil, err
@@ -109,19 +105,11 @@ func RunFleet(ctx context.Context, p *sim.Pipeline, cfg FleetConfig) (*FleetResu
 		if err != nil {
 			return ChipResult{}, fmt.Errorf("engine: chip %d: %w", i, err)
 		}
-		var ctrl control.Controller
-		if cfg.ControllerFor != nil {
-			if ctrl, err = cfg.ControllerFor(i); err != nil {
-				return ChipResult{}, fmt.Errorf("engine: chip %d controller: %w", i, err)
-			}
-		} else {
-			ctrl = control.CloneController(cfg.Controller)
-		}
 		w, err := pc.Workloads().ByName(workloads[i%len(workloads)])
 		if err != nil {
 			return ChipResult{}, fmt.Errorf("engine: chip %d: %w", i, err)
 		}
-		res, err := RunLoop(pc, w, ctrl, loop)
+		res, err := RunLoop(pc, w, control.CloneController(cfg.Controller), loop)
 		if err != nil {
 			return ChipResult{}, fmt.Errorf("engine: chip %d: %w", i, err)
 		}

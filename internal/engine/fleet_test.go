@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"github.com/hotgauge/boreas/internal/control"
-	"github.com/hotgauge/boreas/internal/sim"
 )
 
 // TestDefaultedLoopFieldwise pins the partial-config contract: every
@@ -114,31 +113,5 @@ func TestLoopResultJSONSafe(t *testing.T) {
 	}
 	if _, err := json.Marshal(res); err != nil {
 		t.Fatalf("loop result does not marshal: %v", err)
-	}
-}
-
-// TestBuildCriticalTempsMarshals builds a real table (which stores +Inf
-// for never-misbehaving frequencies at low clocks) and proves the whole
-// artefact survives encoding/json.
-func TestBuildCriticalTempsMarshals(t *testing.T) {
-	p := fastSim(t)
-	sw, err := SweepStatic(context.Background(), p, []string{"gamess"}, []float64{2.0, 5.0}, 24, sim.DefaultSensorIndex, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct := sw.CriticalTemps()
-	if !math.IsInf(ct.Global[2.0], 1) {
-		t.Skipf("expected a +Inf sentinel at 2.0 GHz to exercise, got %v", ct.Global[2.0])
-	}
-	data, err := json.Marshal(ct)
-	if err != nil {
-		t.Fatalf("critical-temps table with +Inf does not marshal: %v", err)
-	}
-	var back control.CriticalTemps
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ct, &back) {
-		t.Fatal("critical-temps table changed across the JSON round trip")
 	}
 }

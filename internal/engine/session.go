@@ -7,9 +7,9 @@
 //
 // The split with internal/control is strict: control holds pure decision
 // functions over an Observation and never imports the simulator; engine
-// owns everything that touches internal/sim, internal/trace, or
-// internal/runner. The same controller object therefore runs unchanged
-// under the simulator, under trace replay, or inside a fleet.
+// owns everything that touches internal/sim or internal/runner. The
+// same controller object therefore runs unchanged under the simulator,
+// under trace replay, or inside a fleet.
 package engine
 
 import (

@@ -310,28 +310,3 @@ func TestRunFleetSharedCompiledModel(t *testing.T) {
 		}
 	}
 }
-
-func TestRunFleetControllerFactory(t *testing.T) {
-	p := fastSim(t)
-	loop := DefaultLoopConfig()
-	loop.Steps = 24
-	res, err := RunFleet(context.Background(), p, FleetConfig{
-		Chips:     3,
-		Workloads: []string{"gamess"},
-		ControllerFor: func(chip int) (control.Controller, error) {
-			return &control.FixedController{
-				ControllerName: fmt.Sprintf("fix-%d", chip),
-				Frequency:      3.75,
-			}, nil
-		},
-		Loop: loop,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range res.Chips {
-		if c.Controller != fmt.Sprintf("fix-%d", i) {
-			t.Fatalf("chip %d ran controller %s", i, c.Controller)
-		}
-	}
-}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/hotgauge/boreas/internal/sim"
-	"github.com/hotgauge/boreas/internal/trace"
 	"github.com/hotgauge/boreas/internal/workload"
 )
 
@@ -30,7 +29,7 @@ type ChipStream struct {
 	trace *LoopResult
 
 	// peaks folds every executed step, as it folds a static run's.
-	peaks   trace.PeakReducer
+	peaks   sim.PeakReducer
 	sumFreq float64
 }
 

@@ -10,7 +10,6 @@ import (
 	"github.com/hotgauge/boreas/internal/engine"
 	"github.com/hotgauge/boreas/internal/runner"
 	"github.com/hotgauge/boreas/internal/sim"
-	"github.com/hotgauge/boreas/internal/trace"
 )
 
 // runNamed executes one closed loop on a named workload. Each call runs
@@ -132,17 +131,16 @@ func Fig5SensorStudy(l *Lab, name string, fGHz float64) (*Fig5Result, error) {
 	}
 	// Stream the run straight into the per-sensor columns; every retained
 	// value is a scalar copy out of the drive loop's scratch result.
-	err = trace.Drive(p, run, func(int) float64 { return fGHz }, l.cfg.StepsPerRun,
-		trace.ObserverFunc(func(step int, r *sim.StepResult) {
-			res.TimesMs = append(res.TimesMs, r.Time*1e3)
-			for i := 0; i < n; i++ {
-				res.SensorTemps[i] = append(res.SensorTemps[i], r.SensorDelayed[i])
-			}
-			res.Severity = append(res.Severity, r.Severity.Max)
-			if r.Severity.Max >= 1 && r.SensorDelayed[l.cfg.SensorIndex] < 100 {
-				res.SeverityAboveOneWhileCool++
-			}
-		}))
+	err = p.Drive(run, func(int) float64 { return fGHz }, l.cfg.StepsPerRun, func(step int, r *sim.StepResult) {
+		res.TimesMs = append(res.TimesMs, r.Time*1e3)
+		for i := 0; i < n; i++ {
+			res.SensorTemps[i] = append(res.SensorTemps[i], r.SensorDelayed[i])
+		}
+		res.Severity = append(res.Severity, r.Severity.Max)
+		if r.Severity.Max >= 1 && r.SensorDelayed[l.cfg.SensorIndex] < 100 {
+			res.SeverityAboveOneWhileCool++
+		}
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"github.com/hotgauge/boreas/internal/engine"
-	"github.com/hotgauge/boreas/internal/obs"
 	"github.com/hotgauge/boreas/internal/runner"
 )
 
@@ -85,33 +84,15 @@ func (r *FleetStudyResult) Render() string {
 	}
 	fmt.Fprintf(&b, "  fleet: avg %.3f GHz, worst severity %.3f, %d incursions, %d degraded chips\n",
 		f.AvgFreq, f.WorstSeverity, f.TotalIncursions, f.DegradedChips)
-	b.WriteString(indent(r.Snapshot().Render(), "  "))
+	var d engine.Stats
+	for _, c := range f.Chips {
+		d.Decisions += c.Stats.Decisions
+		d.Throttles += c.Stats.Throttles
+		d.Climbs += c.Stats.Climbs
+		d.Holds += c.Stats.Holds
+		d.Clamped += c.Stats.Clamped
+	}
+	fmt.Fprintf(&b, "  decisions %d (throttle %d, climb %d, hold %d, clamped %d)\n",
+		d.Decisions, d.Throttles, d.Climbs, d.Holds, d.Clamped)
 	return b.String()
-}
-
-// Snapshot folds the fleet's per-chip session stats into the same
-// observability counters the serve daemon exposes on /metrics, so
-// offline campaigns and the live service render decision telemetry in
-// one format. Each chip's session is created once and never evicted.
-func (r *FleetStudyResult) Snapshot() obs.Snapshot {
-	m := obs.NewMetrics()
-	for _, c := range r.Fleet.Chips {
-		m.SessionsCreated.Add(1)
-		s := c.Stats
-		m.AddDecisions(uint64(s.Decisions), uint64(s.Throttles), uint64(s.Climbs), uint64(s.Holds), uint64(s.Clamped))
-	}
-	snap := m.Snapshot()
-	snap.Sessions = len(r.Fleet.Chips)
-	return snap
-}
-
-// indent prefixes every non-empty line.
-func indent(s, prefix string) string {
-	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
-	for i, l := range lines {
-		if l != "" {
-			lines[i] = prefix + l
-		}
-	}
-	return strings.Join(lines, "\n") + "\n"
 }

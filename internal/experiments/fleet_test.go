@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -33,13 +34,29 @@ func TestFleetStudy(t *testing.T) {
 	if len(seeds) != len(f.Chips) {
 		t.Fatalf("fleet reused seeds: %d distinct over %d chips", len(seeds), len(f.Chips))
 	}
-	// Every live session was created once, one per chip.
-	if snap := r.Snapshot(); snap.Sessions != 5 || snap.SessionsCreated != 5 {
-		t.Fatalf("fleet snapshot: %d sessions live, %d created; want 5 and 5", snap.Sessions, snap.SessionsCreated)
+	// The decisions line sums every chip's session stats; the directions
+	// partition the decisions.
+	var d, throttle, climb, hold, clamped int
+	for _, c := range f.Chips {
+		d += c.Stats.Decisions
+		throttle += c.Stats.Throttles
+		climb += c.Stats.Climbs
+		hold += c.Stats.Holds
+		clamped += c.Stats.Clamped
+	}
+	if d == 0 || throttle+climb+hold != d {
+		t.Fatalf("chip stats: %d decisions, %d+%d+%d by direction", d, throttle, climb, hold)
 	}
 	text := r.Render()
+	want := fmt.Sprintf("  decisions %d (throttle %d, climb %d, hold %d, clamped %d)\n", d, throttle, climb, hold, clamped)
+	if !strings.Contains(text, want) {
+		t.Fatalf("render missing %q:\n%s", want, text)
+	}
 	if !strings.Contains(text, "fleet: avg") || !strings.Contains(text, "ML05") {
 		t.Fatalf("render missing summary:\n%s", text)
+	}
+	if strings.Contains(text, "requests") || strings.Contains(text, "sessions") {
+		t.Fatalf("render reports serving counters for a fleet that served no request:\n%s", text)
 	}
 }
 

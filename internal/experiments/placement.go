@@ -9,7 +9,6 @@ import (
 	"github.com/hotgauge/boreas/internal/hotspot"
 	"github.com/hotgauge/boreas/internal/runner"
 	"github.com/hotgauge/boreas/internal/sim"
-	"github.com/hotgauge/boreas/internal/trace"
 )
 
 // PlacementResult is the HotGauge sensor-placement methodology applied to
@@ -63,14 +62,13 @@ func SensorPlacement(l *Lab, k int) (*PlacementResult, error) {
 		}
 		run := w.NewRun(l.cfg.Sim.Seed)
 		var sites [][2]float64
-		err = trace.Drive(pc, run, func(int) float64 { return f }, l.cfg.StepsPerRun,
-			trace.ObserverFunc(func(step int, r *sim.StepResult) {
-				if r.Severity.Max >= 0.9 && r.Severity.ArgMax >= 0 {
-					cx := (float64(r.Severity.ArgMax%therm.NX()) + 0.5) * therm.CellW()
-					cy := (float64(r.Severity.ArgMax/therm.NX()) + 0.5) * therm.CellH()
-					sites = append(sites, [2]float64{cx, cy})
-				}
-			}))
+		err = pc.Drive(run, func(int) float64 { return f }, l.cfg.StepsPerRun, func(step int, r *sim.StepResult) {
+			if r.Severity.Max >= 0.9 && r.Severity.ArgMax >= 0 {
+				cx := (float64(r.Severity.ArgMax%therm.NX()) + 0.5) * therm.CellW()
+				cy := (float64(r.Severity.ArgMax/therm.NX()) + 0.5) * therm.CellH()
+				sites = append(sites, [2]float64{cx, cy})
+			}
+		})
 		if err != nil {
 			return nil, err
 		}

@@ -87,9 +87,6 @@ type Config struct {
 	// Workers bounds the simulator-advance worker pool (0: one per CPU).
 	// Replay output is bit-identical at any worker count.
 	Workers int
-	// Client overrides the HTTP client (nil: a private client with a
-	// 30 s request timeout).
-	Client *http.Client
 }
 
 func (c Config) validate() error {
@@ -198,11 +195,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		defer srv.Close()
 		addr = srv.Addr()
 	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Timeout: 30 * time.Second}
-	}
-	lc := newLoadClient(client, addr)
+	lc := newLoadClient(&http.Client{Timeout: 30 * time.Second}, addr)
 
 	batch := cfg.Batch
 	if batch == 0 {

@@ -238,3 +238,52 @@ func TestDurationBound(t *testing.T) {
 		t.Fatalf("decisions %d != ticks %d", rep.Replay.Decisions, rep.Replay.Ticks)
 	}
 }
+
+// TestPacedRunKeepsReplayAndRate runs the open-loop pacer: a paced run
+// serves the same decisions as an unpaced one (the replay section is
+// byte-identical) and spaces its request starts at the target rate, so
+// its wall time is at least (requests - 1) / QPS.
+func TestPacedRunKeepsReplayAndRate(t *testing.T) {
+	pf := testPlatform()
+	cfg := Config{
+		Platform:   pf,
+		Controller: SyntheticThermalController(pf),
+		Chips:      2,
+		Ticks:      10,
+		Seed:       7,
+	}
+	unpaced, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.TargetQPS = 200
+	start := time.Now()
+	paced, err := Run(context.Background(), cfg)
+	wall := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	want, err := unpaced.Replay.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := paced.Replay.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want, got) {
+		t.Fatalf("pacing changed the replay section:\n--- unpaced\n%s--- paced\n%s", want, got)
+	}
+	if paced.Timing.Requests != cfg.Ticks {
+		t.Fatalf("paced run made %d requests, want one per tick (%d)", paced.Timing.Requests, cfg.Ticks)
+	}
+	if paced.Timing.TargetQPS != cfg.TargetQPS {
+		t.Fatalf("report target QPS %v, want %v", paced.Timing.TargetQPS, cfg.TargetQPS)
+	}
+	floor := time.Duration(float64(paced.Timing.Requests-1) / cfg.TargetQPS * float64(time.Second))
+	if wall < floor {
+		t.Fatalf("paced run took %v for %d requests at %v QPS, want at least %v",
+			wall, paced.Timing.Requests, cfg.TargetQPS, floor)
+	}
+}

@@ -66,17 +66,6 @@ func (m *Metrics) RecordDecision(prev, next float64, clamped bool, d time.Durati
 	}
 }
 
-// AddDecisions folds pre-aggregated decision counts in (the fleet and
-// experiment CLIs render campaign results through the same Snapshot the
-// daemon serves on /metrics).
-func (m *Metrics) AddDecisions(decisions, throttles, climbs, holds, clamps uint64) {
-	m.Decisions.Add(decisions)
-	m.Throttles.Add(throttles)
-	m.Climbs.Add(climbs)
-	m.Holds.Add(holds)
-	m.Clamps.Add(clamps)
-}
-
 // Snapshot is the JSON-safe point-in-time state of a Metrics. Every
 // field is finite, so encoding/json accepts it as-is.
 type Snapshot struct {

@@ -109,10 +109,9 @@ func TestMetricsRecordDecision(t *testing.T) {
 	m.RecordDecision(3.5, 3.75, false, time.Microsecond)  // climb
 	m.RecordDecision(3.75, 3.75, false, time.Microsecond) // hold
 	m.RecordDecision(3.75, 3.5, true, time.Microsecond)   // throttle + clamp
-	m.AddDecisions(10, 4, 3, 3, 1)
 
 	s := m.Snapshot()
-	if s.Decisions != 14 || s.Throttles != 6 || s.Climbs != 4 || s.Holds != 4 || s.Clamps != 2 {
+	if s.Decisions != 4 || s.Throttles != 2 || s.Climbs != 1 || s.Holds != 1 || s.Clamps != 1 {
 		t.Fatalf("snapshot counters wrong: %+v", s)
 	}
 	if s.DecideLatency.Count != 4 || s.DecideLatency.MeanMicros != 1 || s.DecideLatency.MaxMicros != 1 {

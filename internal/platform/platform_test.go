@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"github.com/hotgauge/boreas/internal/sim"
-	"github.com/hotgauge/boreas/internal/trace"
 )
 
 // shortTrace runs a tiny fixed-frequency run and returns the trace.
@@ -17,13 +16,15 @@ func shortTrace(t *testing.T, cfg sim.Config, name string, fGHz float64, steps i
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rec trace.Recorder
-	if err := trace.RunStatic(p, name, fGHz, steps, &rec); err != nil {
+	var tr []sim.StepResult
+	err = p.RunStatic(name, fGHz, steps, func(_ int, r *sim.StepResult) {
+		c := *r
+		c.SensorDelayed = append([]float64(nil), r.SensorDelayed...)
+		c.SensorCurrent = append([]float64(nil), r.SensorCurrent...)
+		tr = append(tr, c)
+	})
+	if err != nil {
 		t.Fatal(err)
-	}
-	tr := make([]sim.StepResult, rec.T.Len())
-	for i := range tr {
-		tr[i] = rec.T.At(i)
 	}
 	return tr
 }

@@ -63,14 +63,16 @@ func TestSpikyWorkloadSeverityVariance(t *testing.T) {
 	// swings than the smooth ones - the application-dependence the paper
 	// is built on.
 	variance := func(name string) float64 {
-		p := newPipeline(t)
-		trace, err := runStatic(p, name, 4.0, 60)
+		var sev []float64
+		err := newPipeline(t).RunStatic(name, 4.0, 60, func(_ int, r *StepResult) {
+			sev = append(sev, r.Severity.Max)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var diffs []float64
-		for i := 1; i < len(trace); i++ {
-			diffs = append(diffs, math.Abs(trace[i].Severity.Max-trace[i-1].Severity.Max))
+		for i := 1; i < len(sev); i++ {
+			diffs = append(diffs, math.Abs(sev[i]-sev[i-1]))
 		}
 		s := 0.0
 		for _, d := range diffs {
@@ -111,9 +113,7 @@ func TestPowerTracksFrequency(t *testing.T) {
 
 func TestResetRestoresAmbient(t *testing.T) {
 	p := newPipeline(t)
-	if _, err := runStatic(p, "calculix", 4.5, 30); err != nil {
-		t.Fatal(err)
-	}
+	staticPeaks(t, p, "calculix", 4.5, 30)
 	p.Reset()
 	if p.Thermal().MaxDieTemp() != p.Config().Thermal.Ambient {
 		t.Fatal("Reset did not restore ambient")

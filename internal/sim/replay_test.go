@@ -9,7 +9,6 @@ import (
 
 	"github.com/hotgauge/boreas/internal/engine"
 	"github.com/hotgauge/boreas/internal/sim"
-	"github.com/hotgauge/boreas/internal/trace"
 	"github.com/hotgauge/boreas/internal/workload"
 )
 
@@ -59,11 +58,10 @@ func stepLines(p *sim.Pipeline, run *workload.Run, fGHz float64, n int, out *[]s
 	return nil
 }
 
-// staticLines is trace.RunStatic with every step's telemetry rendered.
+// staticLines is Pipeline.RunStatic with every step's telemetry rendered.
 func staticLines(p *sim.Pipeline, name string, fGHz float64, steps int) ([]string, error) {
 	var lines []string
-	obs := trace.ObserverFunc(func(_ int, r *sim.StepResult) { lines = append(lines, fmt.Sprint(*r)) })
-	err := trace.RunStatic(p, name, fGHz, steps, obs)
+	err := p.RunStatic(name, fGHz, steps, func(_ int, r *sim.StepResult) { lines = append(lines, fmt.Sprint(*r)) })
 	return lines, err
 }
 
@@ -353,7 +351,7 @@ func TestCloneWithSeedStreamRecordsNoTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := trace.RunStatic(p, "gromacs", 4.0, 40); err != nil {
+	if err := p.RunStatic("gromacs", 4.0, 40, func(int, *sim.StepResult) {}); err != nil {
 		t.Fatal(err)
 	}
 	if n, steps := sim.RecordedTraces(p); n != 0 || steps != 0 {

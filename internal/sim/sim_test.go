@@ -35,33 +35,15 @@ func stepFresh(p *Pipeline, run *workload.Run, fGHz float64) (StepResult, error)
 	return r, err
 }
 
-// runStatic warm-starts p and runs the named workload at a fixed
-// frequency, materialising every step.
-func runStatic(p *Pipeline, name string, fGHz float64, steps int) ([]StepResult, error) {
-	w, err := p.Workloads().ByName(name)
-	if err != nil {
-		return nil, err
+// staticPeaks runs the named workload at a fixed frequency and returns
+// the run's peak reduction.
+func staticPeaks(t *testing.T, p *Pipeline, name string, fGHz float64, steps int) PeakReducer {
+	t.Helper()
+	var pr PeakReducer
+	if err := p.RunStatic(name, fGHz, steps, pr.Observe); err != nil {
+		t.Fatal(err)
 	}
-	if err := p.WarmStart(w, fGHz); err != nil {
-		return nil, err
-	}
-	run := w.NewRun(p.Config().Seed)
-	tr := make([]StepResult, steps)
-	for i := range tr {
-		if err := p.StepInto(run, fGHz, &tr[i]); err != nil {
-			return nil, err
-		}
-	}
-	return tr, nil
-}
-
-// peakSeverity returns the maximum ground-truth severity over a trace.
-func peakSeverity(tr []StepResult) float64 {
-	peak := 0.0
-	for i := range tr {
-		peak = math.Max(peak, tr[i].Severity.Max)
-	}
-	return peak
+	return pr
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -147,17 +129,10 @@ func TestStepResultSane(t *testing.T) {
 
 func TestHigherFrequencyHigherSeverity(t *testing.T) {
 	p := newPipeline(t)
-	lo, err := runStatic(p, "calculix", 2.5, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hi, err := runStatic(p, "calculix", 4.75, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if peakSeverity(hi) <= peakSeverity(lo) {
-		t.Fatalf("severity must grow with frequency: %v vs %v",
-			peakSeverity(hi), peakSeverity(lo))
+	lo := staticPeaks(t, p, "calculix", 2.5, 40).PeakSeverity
+	hi := staticPeaks(t, p, "calculix", 4.75, 40).PeakSeverity
+	if hi <= lo {
+		t.Fatalf("severity must grow with frequency: %v vs %v", hi, lo)
 	}
 }
 
@@ -165,34 +140,27 @@ func TestWorkloadDiversity(t *testing.T) {
 	// A hot FP workload and a memory-bound workload must separate clearly
 	// at the same frequency - the paper's application-dependence premise.
 	p := newPipeline(t)
-	hot, err := runStatic(p, "calculix", 4.25, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cool, err := runStatic(p, "omnetpp", 4.25, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if peakSeverity(hot) < peakSeverity(cool)+0.15 {
-		t.Fatalf("calculix (%v) should be far more severe than omnetpp (%v)",
-			peakSeverity(hot), peakSeverity(cool))
+	hot := staticPeaks(t, p, "calculix", 4.25, 40).PeakSeverity
+	cool := staticPeaks(t, p, "omnetpp", 4.25, 40).PeakSeverity
+	if hot < cool+0.15 {
+		t.Fatalf("calculix (%v) should be far more severe than omnetpp (%v)", hot, cool)
 	}
 }
 
 func TestDeterministicTraces(t *testing.T) {
-	a := newPipeline(t)
-	b := newPipeline(t)
-	ta, err := runStatic(a, "gromacs", 4.0, 15)
-	if err != nil {
-		t.Fatal(err)
+	run := func() [][2]float64 {
+		var tr [][2]float64
+		err := newPipeline(t).RunStatic("gromacs", 4.0, 15, func(_ int, r *StepResult) {
+			tr = append(tr, [2]float64{r.Severity.Max, r.TotalPower})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
 	}
-	tb, err := runStatic(b, "gromacs", 4.0, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ta, tb := run(), run()
 	for i := range ta {
-		if ta[i].Severity.Max != tb[i].Severity.Max ||
-			ta[i].TotalPower != tb[i].TotalPower {
+		if ta[i] != tb[i] {
 			t.Fatalf("same-config pipelines diverged at step %d", i)
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"github.com/hotgauge/boreas/internal/checkpoint"
 	"github.com/hotgauge/boreas/internal/runner"
 	"github.com/hotgauge/boreas/internal/sim"
-	"github.com/hotgauge/boreas/internal/trace"
 )
 
 // BuildConfig describes a dataset-extraction campaign: fixed-frequency
@@ -117,22 +116,9 @@ func Build(ctx context.Context, cfg BuildConfig) (*Dataset, error) {
 		t := tasks[i]
 		key := scope.Key("fragment", t.workload, checkpoint.FormatFloat(t.freq))
 		return fragmentCell(cfg.Checkpoint, key, "dataset-fragment", func() (*Dataset, error) {
-			scfg := cfg.Sim
-			scfg.Seed = cfg.RunSeed(t.workload, t.freq)
-			p, err := sim.New(scfg)
-			if err != nil {
-				return nil, err
-			}
-			if cfg.SensorIndex >= p.NumSensors() {
-				return nil, fmt.Errorf("telemetry: sensor index %d out of range", cfg.SensorIndex)
-			}
 			frag := NewDataset(FullFeatureNames())
-			ap, err := NewDatasetAppender(frag, t.workload, cfg.Horizon, cfg.SensorIndex)
-			if err != nil {
+			if err := buildOneStatic(cfg, t.workload, t.freq, frag); err != nil {
 				return nil, err
-			}
-			if err := trace.RunStatic(p, t.workload, t.freq, cfg.StepsPerRun, ap); err != nil {
-				return nil, fmt.Errorf("telemetry: %s @ %g GHz: %w", t.workload, t.freq, err)
 			}
 			return frag, nil
 		})
@@ -147,4 +133,30 @@ func Build(ctx context.Context, cfg BuildConfig) (*Dataset, error) {
 		}
 	}
 	return ds, nil
+}
+
+// buildOneStatic runs one fixed-frequency run on a private pipeline and
+// appends its instances to ds.
+func buildOneStatic(cfg BuildConfig, name string, fGHz float64, ds *Dataset) error {
+	scfg := cfg.Sim
+	scfg.Seed = cfg.RunSeed(name, fGHz)
+	p, err := sim.New(scfg)
+	if err != nil {
+		return err
+	}
+	if cfg.SensorIndex >= p.NumSensors() {
+		return fmt.Errorf("telemetry: sensor index %d out of range", cfg.SensorIndex)
+	}
+	ap, err := NewDatasetAppender(ds, name, cfg.StepsPerRun, cfg.Horizon, cfg.SensorIndex)
+	if err != nil {
+		return err
+	}
+	err = p.RunStatic(name, fGHz, cfg.StepsPerRun, ap.Observe)
+	if err == nil {
+		err = ap.Err()
+	}
+	if err != nil {
+		return fmt.Errorf("telemetry: %s @ %g GHz: %w", name, fGHz, err)
+	}
+	return nil
 }

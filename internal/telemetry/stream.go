@@ -4,11 +4,11 @@ import (
 	"fmt"
 
 	"github.com/hotgauge/boreas/internal/sim"
-	"github.com/hotgauge/boreas/internal/trace"
 )
 
-// DatasetAppender is a trace.Observer that converts a step stream into
-// labelled dataset rows online. The row of step t carries features
+// DatasetAppender converts the step stream of one run into labelled
+// dataset rows online: pass its Observe method to sim.Pipeline.Drive or
+// RunStatic, then check Err. The row of step t carries features
 // extracted at t and the maximum ground-truth severity over
 // (t, t+Horizon]; rows whose horizon would run past the end of the run
 // are never created. It holds at most Horizon rows in flight, so a build
@@ -28,10 +28,10 @@ type DatasetAppender struct {
 	horizon     int
 	sensorIndex int
 
-	steps   int          // run length, from Meta
+	steps   int          // run length
 	pending []pendingRow // rows awaiting label completion, ascending t
 	head    int          // index of the oldest in-flight row in pending
-	err     error        // first Dataset.Add failure, surfaced by End
+	err     error        // first Dataset.Add failure, surfaced by Err
 }
 
 type pendingRow struct {
@@ -40,27 +40,20 @@ type pendingRow struct {
 	label float64
 }
 
-// NewDatasetAppender builds an appender that adds rows to ds, labelled
-// for the given workload, horizon, and sensor feature source.
-func NewDatasetAppender(ds *Dataset, workload string, horizon, sensorIndex int) (*DatasetAppender, error) {
+// NewDatasetAppender builds an appender for one run of the given length
+// that adds rows to ds, labelled for the given workload, horizon, and
+// sensor feature source.
+func NewDatasetAppender(ds *Dataset, workload string, steps, horizon, sensorIndex int) (*DatasetAppender, error) {
 	if horizon <= 0 {
 		return nil, fmt.Errorf("telemetry: non-positive horizon")
 	}
 	if sensorIndex < 0 {
 		return nil, fmt.Errorf("telemetry: negative sensor index")
 	}
-	return &DatasetAppender{ds: ds, workload: workload, horizon: horizon, sensorIndex: sensorIndex}, nil
+	return &DatasetAppender{ds: ds, workload: workload, steps: steps, horizon: horizon, sensorIndex: sensorIndex}, nil
 }
 
-// Begin implements trace.Observer.
-func (a *DatasetAppender) Begin(meta trace.Meta) {
-	a.steps = meta.Steps
-	a.pending = a.pending[:0]
-	a.head = 0
-	a.err = nil
-}
-
-// Observe implements trace.Observer: fold the step's severity into every
+// Observe folds the step's severity into every
 // in-flight label, emit the row whose horizon closes at this step, and
 // open a row for this step if its horizon fits inside the run (and, with
 // GroupOf, inside one group).
@@ -105,5 +98,6 @@ func (a *DatasetAppender) Observe(step int, r *sim.StepResult) {
 	}
 }
 
-// End implements trace.Observer, surfacing any row-append failure.
-func (a *DatasetAppender) End() error { return a.err }
+// Err returns the first row-append failure; once one occurs, Observe
+// adds no further rows.
+func (a *DatasetAppender) Err() error { return a.err }

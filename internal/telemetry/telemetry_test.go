@@ -10,7 +10,6 @@ import (
 
 	"github.com/hotgauge/boreas/internal/arch"
 	"github.com/hotgauge/boreas/internal/sim"
-	"github.com/hotgauge/boreas/internal/trace"
 )
 
 func TestSeventyEightFeatures(t *testing.T) {
@@ -283,6 +282,28 @@ func TestBuildValidate(t *testing.T) {
 	}
 }
 
+// TestAddFailureReachesBuildCaller pins that a failing Dataset.Add is
+// not lost in the drive loop: the static and the walk fragment builders
+// both return it, so Build and BuildWalk fail with it. A dataset whose
+// schema is narrower than Extract's rows makes every Add fail.
+func TestAddFailureReachesBuildCaller(t *testing.T) {
+	bc := buildTestConfig()
+	narrow := NewDataset([]string{"sensor"})
+	err := buildOneStatic(bc, bc.Workloads[0], bc.Frequencies[0], narrow)
+	if err == nil || !strings.Contains(err.Error(), "features") {
+		t.Fatalf("static fragment: got %v, want the Dataset.Add error", err)
+	}
+
+	wc := DefaultWalkConfig(bc.Workloads, []float64{3.0, 3.5, 4.0})
+	wc.Sim = bc.Sim
+	wc.StepsPerWalk, wc.HoldSteps, wc.Horizon = 40, 20, 5
+	narrow = NewDataset([]string{"sensor"})
+	err = buildOneWalk(wc, bc.Workloads[0], 0, narrow)
+	if err == nil || !strings.Contains(err.Error(), "features") {
+		t.Fatalf("walk fragment: got %v, want the Dataset.Add error", err)
+	}
+}
+
 func TestLabelsAreFutureMax(t *testing.T) {
 	// Build a tiny synthetic trace with a known severity ramp and verify
 	// the labels are the forward-window maxima.
@@ -293,15 +314,14 @@ func TestLabelsAreFutureMax(t *testing.T) {
 		steps[i].SensorCurrent = []float64{50}
 	}
 	ds := NewDataset(FullFeatureNames())
-	ap, err := NewDatasetAppender(ds, "w", 5, 0)
+	ap, err := NewDatasetAppender(ds, "w", len(steps), 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ap.Begin(trace.Meta{Steps: len(steps)})
 	for i := range steps {
 		ap.Observe(i, &steps[i])
 	}
-	if err := ap.End(); err != nil {
+	if err := ap.Err(); err != nil {
 		t.Fatal(err)
 	}
 	// For a monotone ramp, label of instance t is severity at t+5.

@@ -9,7 +9,6 @@ import (
 	"github.com/hotgauge/boreas/internal/rng"
 	"github.com/hotgauge/boreas/internal/runner"
 	"github.com/hotgauge/boreas/internal/sim"
-	"github.com/hotgauge/boreas/internal/trace"
 )
 
 // WalkConfig describes a frequency-walk extraction campaign: each
@@ -195,12 +194,15 @@ func buildOneWalk(cfg WalkConfig, name string, walk int, ds *Dataset) error {
 	// Stream the walk: instances whose horizon crosses a hold boundary
 	// are suppressed by GroupOf, so each label is conditioned on one
 	// committed frequency.
-	ap, err := NewDatasetAppender(ds, name, cfg.Horizon, cfg.SensorIndex)
+	ap, err := NewDatasetAppender(ds, name, cfg.StepsPerWalk, cfg.Horizon, cfg.SensorIndex)
 	if err != nil {
 		return err
 	}
 	ap.GroupOf = func(step int) int { return step / cfg.HoldSteps }
-	return trace.Drive(p, run,
+	if err := p.Drive(run,
 		func(step int) float64 { return cfg.Frequencies[holdFi[step/cfg.HoldSteps]] },
-		cfg.StepsPerWalk, ap)
+		cfg.StepsPerWalk, ap.Observe); err != nil {
+		return err
+	}
+	return ap.Err()
 }
